@@ -22,9 +22,8 @@ Set ``REPRO_BENCH_SCALE`` (default 0.3) or ``REPRO_BENCH_FULL=1`` to widen
 the sweeps.
 
 After a session that ran any bench driver, a machine-readable summary —
-per-driver wall time plus headline metrics from the bench store, the
-backend-vs-reference speedup table (when the backend-comparison driver ran)
-and the packet-vs-flow fidelity comparison (when the fidelity driver ran) —
+per-driver wall time plus headline metrics from the bench store and the
+packet-vs-flow fidelity comparison (when the fidelity driver ran) —
 is written to ``BENCH_PR9.json`` at the repo root (override with
 ``REPRO_BENCH_SUMMARY``; set it to the empty string to disable).  CI uploads
 it as an artifact and renders the comparison tables in the job summary.
@@ -39,7 +38,6 @@ from typing import Dict, Iterable, Optional
 
 import pytest
 
-from repro.backends import active_backend_name
 from repro.analysis.mixed import MixedResult
 from repro.analysis.pairwise import PairwiseResult
 from repro.experiments.runner import RunResult
@@ -66,22 +64,14 @@ _BENCH_DIR = Path(__file__).resolve().parent
 _STORE_PATH = os.environ.get("REPRO_BENCH_STORE", str(_BENCH_DIR / ".bench-results.sqlite"))
 
 _STORE: Optional[ResultStore] = None
-#: Session-scoped RunResult memo, keyed by (resolved backend, scenario hash).
-#: Scenario itself is not hashable — AppSpec carries a kwargs dict — so the
-#: content hash is the natural key.  The backend must be part of the key
-#: because the hash deliberately ignores the default backend (and the
-#: ``REPRO_BACKEND`` override is invisible to it entirely): two runs of one
-#: scenario under different backends are different *executions*, and the
-#: backend-comparison driver relies on both actually happening.
+#: Session-scoped RunResult memo, keyed by scenario hash.  Scenario itself is
+#: not hashable — AppSpec carries a kwargs dict — so the content hash is the
+#: natural key.
 _RUNS: Dict[str, RunResult] = {}
 
 
 #: Where the machine-readable suite summary lands ('' disables it).
 _SUMMARY_PATH = os.environ.get("REPRO_BENCH_SUMMARY", str(_BENCH_DIR.parent / "BENCH_PR9.json"))
-
-#: Backend-vs-reference comparison rows, filled by the backend bench driver
-#: (benchmarks/test_backend_comparison.py) via :func:`record_backend_comparison`.
-_BACKEND_COMPARISON: Dict[str, dict] = {}
 
 #: Packet-vs-flow fidelity comparison rows, filled by the fidelity bench
 #: driver (benchmarks/test_fidelity_comparison.py) via
@@ -156,8 +146,6 @@ def pytest_sessionfinish(session, exitstatus):
         },
         "store_headline": _headline_metrics(),
     }
-    if _BACKEND_COMPARISON:
-        summary["backend_comparison"] = dict(sorted(_BACKEND_COMPARISON.items()))
     if _FIDELITY_COMPARISON:
         summary["fidelity_comparison"] = dict(sorted(_FIDELITY_COMPARISON.items()))
     Path(_SUMMARY_PATH).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -173,7 +161,7 @@ def bench_store() -> ResultStore:
 
 def run_scenario(scenario: Scenario) -> RunResult:
     """Run ``scenario`` once per session and record it into the bench store."""
-    key = f"{active_backend_name(scenario.config)}:{scenario_hash(scenario)}"
+    key = scenario_hash(scenario)
     if key not in _RUNS:
         result = scenario.run()
         bench_store().record_run(scenario, result)
@@ -181,24 +169,14 @@ def run_scenario(scenario: Scenario) -> RunResult:
     return _RUNS[key]
 
 
-def record_backend_comparison(name: str, row: dict) -> None:
-    """Publish one backend-vs-reference measurement into the session summary.
-
-    ``row`` should carry honest measured numbers (wall seconds per backend,
-    events fired, speedup, whether outputs matched); it lands verbatim under
-    ``backend_comparison`` in ``BENCH_PR9.json``.
-    """
-    _BACKEND_COMPARISON[name] = row
-
-
 def record_fidelity_comparison(name: str, row: dict) -> None:
     """Publish one packet-vs-flow fidelity measurement into the session summary.
 
     ``row`` should carry honest measured numbers (wall seconds per fidelity,
     makespan/throughput deltas, whether volumes matched exactly); it lands
-    verbatim under ``fidelity_comparison`` in ``BENCH_PR9.json``.  Unlike the
-    backend comparison, fidelities are *not* bit-equivalent — the row records
-    the measured approximation error, not a match bit alone.
+    verbatim under ``fidelity_comparison`` in ``BENCH_PR9.json``.
+    Fidelities are *not* bit-equivalent — the row records the measured
+    approximation error, not a match bit alone.
     """
     _FIDELITY_COMPARISON[name] = row
 

@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
+from repro.backends import resolve_backend
+
 __all__ = [
     "GB_PER_MS",
     "GBPS_TO_BYTES_PER_NS",
@@ -255,19 +257,18 @@ class SimulationConfig:
     #: workloads require.  ``None`` = run to completion as before.
     measurement_ns: Optional[float] = None
 
-    #: Simulation backend: which implementation of the hot core executes the
-    #: run (``"reference"`` or ``"fast"``; see :mod:`repro.backends`).  All
-    #: backends are bit-equivalent by contract, so this is an execution
-    #: strategy, not part of the experiment's meaning — scenarios serialize
-    #: and hash it only when non-default.
+    #: Simulation backend name (``"reference"`` or ``"fast"``; see
+    #: :mod:`repro.backends`).  Parsed and preserved so stored scenarios
+    #: load, but it selects nothing: every run executes the one hot core.
+    #: Scenarios serialize and hash it only when non-default.
     backend: str = "reference"
 
     #: Simulation fidelity: how faithfully the network is modelled.
     #: ``"packet"`` (default) is the flit-timed packet-level simulation the
     #: paper's results use; ``"flow"`` models messages as fluid flows with
     #: max-min fair-share link bandwidth (see :mod:`repro.flow`), trading
-    #: per-packet detail for orders-of-magnitude scale.  Unlike ``backend``,
-    #: fidelities are *not* bit-equivalent — flow-level results are
+    #: per-packet detail for orders-of-magnitude scale.  Fidelities are
+    #: *not* bit-equivalent — flow-level results are
     #: approximations cross-validated against packet-level ones — but the
     #: default is still hashed/serialized only when non-default, so existing
     #: scenario hashes are untouched.
@@ -277,10 +278,6 @@ class SimulationConfig:
         # Validate (and canonicalize) the backend name at construction time,
         # mirroring RoutingConfig.algorithm: a typo fails right here naming
         # the `backend` field and the valid choices, not deep inside a run.
-        # Deferred import: repro.backends type-checks against modules that
-        # import this one.
-        from repro.backends import resolve_backend
-
         try:
             object.__setattr__(self, "backend", resolve_backend(self.backend))
         except ValueError as exc:
@@ -348,7 +345,7 @@ class SimulationConfig:
         return replace(self, seed=seed)
 
     def with_backend(self, backend: str) -> "SimulationConfig":
-        """Return a copy pinned to a specific simulation backend."""
+        """Return a copy carrying another backend name (which selects nothing)."""
         return replace(self, backend=backend)
 
     def with_fidelity(self, fidelity: str) -> "SimulationConfig":

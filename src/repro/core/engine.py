@@ -189,35 +189,73 @@ class Simulator:
         ``until`` — the system simply sat idle for the remainder — so
         ``run(until=t)`` post-condition ``now == t`` holds whether or not any
         event fired near the bound.
+
+        This is the simulator's only event loop, and it stays in this method:
+        components push calendar entries but never drain the calendar
+        themselves.  Traced or ``max_events``-bounded runs (diagnostic modes)
+        take a plain loop; every other run drains all events already
+        scheduled at the current timestamp in an inner batch loop that skips
+        the clock store and cutoff check of the outer loop.  Both fire events
+        in the identical ``(time, seq)`` order.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
         self._stopped = False
         self._idled_from = None
-        fired_this_run = 0
         heap = self._heap
         pop = heapq.heappop
-        trace = self.trace
         try:
-            # reprolint: hot
-            while heap and not self._stopped:
-                if until is not None and heap[0][_TIME] > until:
-                    self._now = until
-                    break
-                if max_events is not None and fired_this_run >= max_events:
-                    break
-                entry = pop(heap)
-                callback = entry[_CALLBACK]
-                if callback is None:
-                    continue
-                self._now = entry[_TIME]
-                if trace:
-                    name = getattr(callback, "__qualname__", repr(callback))
-                    self.trace_log.append((entry[_TIME], entry[_KIND], name))
-                callback(*entry[_ARGS])
-                self._fired += 1
-                fired_this_run += 1
+            if self.trace or max_events is not None:
+                trace = self.trace
+                fired_this_run = 0
+                # reprolint: hot
+                while heap and not self._stopped:
+                    if until is not None and heap[0][_TIME] > until:
+                        self._now = until
+                        break
+                    if max_events is not None and fired_this_run >= max_events:
+                        break
+                    entry = pop(heap)
+                    callback = entry[_CALLBACK]
+                    if callback is None:
+                        continue
+                    self._now = entry[_TIME]
+                    if trace:
+                        name = getattr(callback, "__qualname__", repr(callback))
+                        self.trace_log.append((entry[_TIME], entry[_KIND], name))
+                    callback(*entry[_ARGS])
+                    self._fired += 1
+                    fired_this_run += 1
+            else:
+                # reprolint: hot
+                while heap and not self._stopped:
+                    entry = heap[0]
+                    time = entry[_TIME]
+                    if until is not None and time > until:
+                        self._now = until
+                        break
+                    pop(heap)
+                    callback = entry[_CALLBACK]
+                    if callback is None:
+                        continue
+                    self._now = time
+                    callback(*entry[_ARGS])
+                    self._fired += 1
+                    # Batch: every event already scheduled at this timestamp
+                    # fires here.  None can be past `until` (the first was
+                    # not), so the clock store and cutoff check are skipped.
+                    while heap and heap[0][_TIME] == time:
+                        # Callbacks flip this flag, so it must be re-read
+                        # before every event — a hoisted local would go stale.
+                        if self._stopped:
+                            break
+                        entry = pop(heap)
+                        callback = entry[_CALLBACK]
+                        if callback is None:
+                            continue
+                        callback(*entry[_ARGS])
+                        self._fired += 1
             if (
                 until is not None
                 and not heap

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
-from repro.backends import active_backend
 from repro.config import SimulationConfig
 from repro.core.engine import Simulator
 from repro.experiments.configs import AppSpec
@@ -159,14 +158,12 @@ def _execute(
 
     started = time.perf_counter()
     fidelity = active_fidelity_name(config)
-    backend = active_backend(config)
-    sim = backend.create_simulator()
+    sim = Simulator()
     if fidelity == DEFAULT_FIDELITY:
-        network = DragonflyNetwork(sim, config, backend=backend)
+        network = DragonflyNetwork(sim, config)
     else:
         # Flow fidelity: same topology, same MPI layer, fluid flows instead
-        # of packets (see repro.flow).  The backend seam only concerns the
-        # packet-level hot core, so only its simulator is reused here.
+        # of packets (see repro.flow).
         from repro.flow.network import FlowNetwork
 
         network = FlowNetwork(sim, config)  # type: ignore[assignment]

@@ -96,9 +96,9 @@ _SIM_KNOBS: Tuple[str, ...] = tuple(
 _OPTIONAL_SIM_KNOBS: Dict[str, object] = {
     "warmup_ns": 0.0,
     "measurement_ns": None,
-    # Hash neutrality: the backend is an execution strategy, bit-equivalent
-    # by contract (tests/test_backend_equivalence.py), so a default-backend
-    # scenario serializes without it and every golden hash is unchanged.
+    # Hash neutrality: the backend name selects nothing (one hot core), so a
+    # default-backend scenario serializes without it and every golden hash
+    # is unchanged; a stored "fast" keeps its own hash.
     "backend": "reference",
     # Hash neutrality: fidelity DOES change the numbers (flow-level results
     # are approximations, see docs/fidelity.md), so a non-default fidelity is

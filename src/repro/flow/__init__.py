@@ -16,7 +16,7 @@ per-run by ``SimulationConfig.fidelity``:
   flow results are approximations cross-validated against packet-level
   ones, traded for orders-of-magnitude scale (100k+ endpoints in seconds).
 
-Selection follows the :mod:`repro.backends` playbook exactly:
+Selection:
 
 * ``resolve_fidelity`` validates/canonicalizes a name (used by
   ``SimulationConfig.__post_init__`` so typos fail at configuration time);
@@ -26,7 +26,7 @@ Selection follows the :mod:`repro.backends` playbook exactly:
   never overridden, and the default is never serialized or hashed, so all
   pre-existing scenario hashes are byte-identical (see docs/fidelity.md).
 
-Unlike backends, fidelities are **not** bit-equivalent: ``"flow"`` changes
+Fidelities are **not** bit-equivalent: ``"flow"`` changes
 the numbers, not just the execution strategy.  That is why the fidelity is
 part of the scenario description (hashed when non-default) instead of a
 pure execution knob.

@@ -10,6 +10,7 @@ back over the same link with the same latency.
 from __future__ import annotations
 
 import enum
+from heapq import heappush
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.engine import Simulator
@@ -21,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Link", "LinkKind"]
 
-# Bound once: transmit() runs for every packet on every hop.
+# Bound once: transmit() and return_credit() run for every packet on every hop.
 _SERIALIZED = EventKind.LINK_SERIALIZED
 _DELIVERY = EventKind.LINK_DELIVERY
 _CREDIT = EventKind.CREDIT_RETURN
@@ -120,33 +121,58 @@ class Link:
         """Flit-quantized serialization time of ``packet`` on this link."""
         return (packet.num_flits * self.flit_size) / self.bandwidth
 
+    # reprolint: hot
     def transmit(self, packet: Packet) -> None:
-        """Start serializing ``packet``.  The link must be idle."""
+        """Start serializing ``packet``.  The link must be idle.
+
+        The two calendar entries (serialization done, delivery) are pushed
+        directly, with the exact float expressions and ``seq`` numbers that
+        two :meth:`Simulator.schedule` calls would give: no ``EventHandle``
+        per event, and the delivery fires the downstream ``receive_packet``
+        itself rather than a trampoline.
+        """
         if self.busy:
             raise RuntimeError(f"link {self.link_id} is busy; arbitration bug upstream")
         self.busy = True
-        ser = self.serialization_time(packet)
+        ser = (packet.num_flits * self.flit_size) / self.bandwidth
         self.busy_time += ser
         self.bytes_carried += packet.size_bytes
         self.packets_carried += 1
-        if self.stats is not None:
-            self.stats.record_link_traffic(self, packet)
-        schedule = self.sim.schedule
-        schedule(ser, self._serialization_done, kind=_SERIALIZED)
-        schedule(ser + self.latency, self._deliver, packet, kind=_DELIVERY)
+        stats = self.stats
+        if stats is not None:
+            stats.record_link_traffic(self, packet)
+        sim = self.sim
+        now = sim._now
+        seq = sim._seq
+        sim._seq = seq + 2
+        heap = sim._heap
+        heappush(heap, [now + ser, seq, self._serialization_done, (), _SERIALIZED])
+        heappush(
+            heap,
+            [
+                now + (ser + self.latency),
+                seq + 1,
+                self.dst.receive_packet,
+                (self.dst_port, packet),
+                _DELIVERY,
+            ],
+        )
 
+    # reprolint: hot
     def _serialization_done(self) -> None:
         self.busy = False
         self.src.link_free(self.src_port)
 
-    def _deliver(self, packet: Packet) -> None:
-        self.dst.receive_packet(self.dst_port, packet)
-
     # -------------------------------------------------------------- credits
+    # reprolint: hot
     def return_credit(self, vc: int) -> None:
         """Send one credit back to the upstream entity (takes ``latency`` ns)."""
-        self.sim.schedule(
-            self.latency, self.src.credit_returned, self.src_port, vc, kind=_CREDIT
+        sim = self.sim
+        seq = sim._seq
+        sim._seq = seq + 1
+        heappush(
+            sim._heap,
+            [sim._now + self.latency, seq, self.src.credit_returned, (self.src_port, vc), _CREDIT],
         )
 
     # ------------------------------------------------------------------ misc

@@ -14,11 +14,10 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.backends import SimBackend, active_backend
 from repro.config import SimulationConfig
 from repro.core.engine import Simulator
 from repro.core.rng import RngRegistry
-from repro.network.link import LinkKind
+from repro.network.link import Link, LinkKind
 from repro.network.nic import Nic
 from repro.network.packet import Message
 from repro.network.router import Router
@@ -29,13 +28,7 @@ __all__ = ["DragonflyNetwork"]
 
 
 class DragonflyNetwork:
-    """A fully-wired Dragonfly system ready to carry messages.
-
-    The hot-core component classes (routers, NICs, links, stats) come from
-    the run's :class:`~repro.backends.SimBackend` — resolved from
-    ``config.backend`` unless an explicit ``backend`` is passed — so the
-    same assembly code builds every backend.
-    """
+    """A fully-wired Dragonfly system ready to carry messages."""
 
     def __init__(
         self,
@@ -43,14 +36,12 @@ class DragonflyNetwork:
         config: SimulationConfig,
         stats: Optional[StatsCollector] = None,
         rng: Optional[RngRegistry] = None,
-        backend: Optional[SimBackend] = None,
     ):
         self.sim = sim
         self.config = config
-        self.backend = backend if backend is not None else active_backend(config)
         self.topology = DragonflyTopology(config.system)
         self.rng = rng if rng is not None else RngRegistry(config.seed)
-        self.stats = stats if stats is not None else self.backend.stats_cls(sim, config)
+        self.stats = stats if stats is not None else StatsCollector(sim, config)
 
         # Routing is created before routers so routers can hold a reference.
         from repro.routing import create_routing  # local import to avoid a cycle
@@ -59,16 +50,14 @@ class DragonflyNetwork:
             config.routing.algorithm, self, config.routing, self.rng.get("routing")
         )
 
-        router_cls = self.backend.router_cls
-        nic_cls = self.backend.nic_cls
         self.routers: List[Router] = [
-            router_cls(
+            Router(
                 sim, self.topology, config, router_id, routing=self.routing, stats=self.stats
             )
             for router_id in range(self.topology.num_routers)
         ]
         self.nics: List[Nic] = [
-            nic_cls(sim, config, node_id, stats=self.stats)
+            Nic(sim, config, node_id, stats=self.stats)
             for node_id in range(self.topology.num_nodes)
         ]
         for nic in self.nics:
@@ -88,7 +77,6 @@ class DragonflyNetwork:
         bandwidth = system.link_bandwidth_bytes_per_ns
         flit = system.flit_size_bytes
         topo = self.topology
-        link_cls = self.backend.link_cls
 
         for router in self.routers:
             rid = router.router_id
@@ -99,7 +87,7 @@ class DragonflyNetwork:
                 if kind == PortKind.TERMINAL:
                     nic = self.nics[endpoint.node]
                     # Router -> NIC (ejection).
-                    down = link_cls(
+                    down = Link(
                         self.sim, router, port, nic, 0, LinkKind.TERMINAL,
                         bandwidth, latency, flit, stats=self.stats,
                         link_id=("R", rid, port),
@@ -107,7 +95,7 @@ class DragonflyNetwork:
                     router.attach_output_link(port, down)
                     nic.in_link = down
                     # NIC -> Router (injection).
-                    up = link_cls(
+                    up = Link(
                         self.sim, nic, 0, router, port, LinkKind.TERMINAL,
                         bandwidth, latency, flit, stats=self.stats,
                         link_id=("N", endpoint.node, 0),
@@ -117,7 +105,7 @@ class DragonflyNetwork:
                 else:
                     link_kind = LinkKind.LOCAL if kind == PortKind.LOCAL else LinkKind.GLOBAL
                     peer = self.routers[endpoint.router]
-                    link = link_cls(
+                    link = Link(
                         self.sim, router, port, peer, endpoint.port, link_kind,
                         bandwidth, latency, flit, stats=self.stats,
                         link_id=("R", rid, port),

@@ -17,14 +17,14 @@ The router model mirrors the paper's SST/Merlin configuration:
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
 
 from repro.config import SimulationConfig
 from repro.core.engine import Simulator
 from repro.network.buffers import CreditTracker, VcInputBuffer
 from repro.network.link import Link
 from repro.network.packet import Packet
-from repro.network.topology import DragonflyTopology, PortKind
+from repro.network.topology import DragonflyTopology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.routing.base import RoutingAlgorithm
@@ -55,7 +55,8 @@ class Router:
         "config",
         "router_id",
         "group",
-        "routing",
+        "_routing",
+        "_on_recv",
         "stats",
         "num_ports",
         "num_vcs",
@@ -84,6 +85,7 @@ class Router:
         self.config = config
         self.router_id = router_id
         self.group = topology.group_of_router(router_id)
+        self._on_recv: Optional[Callable[[Router, int, Packet], None]] = None
         self.routing = routing
         self.stats = stats
 
@@ -113,6 +115,26 @@ class Router:
         ]
         self.packets_forwarded = 0
 
+    # ------------------------------------------------------------ routing
+    @property
+    def routing(self) -> Optional["RoutingAlgorithm"]:
+        """The routing algorithm driving output-port selection."""
+        return self._routing
+
+    @routing.setter
+    def routing(self, routing: Optional["RoutingAlgorithm"]) -> None:
+        self._routing = routing
+        # The per-hop arrival hook is bound once here, and skipped entirely
+        # when the algorithm keeps the base class's no-op implementation.
+        from repro.routing.base import RoutingAlgorithm  # import cycle
+
+        if routing is None or (
+            type(routing).on_packet_received is RoutingAlgorithm.on_packet_received
+        ):
+            self._on_recv = None
+        else:
+            self._on_recv = routing.on_packet_received
+
     # ------------------------------------------------------------- wiring
     def attach_output_link(self, port: int, link: Link) -> None:
         """Install the link carrying traffic out of ``port``."""
@@ -135,86 +157,127 @@ class Router:
         the port.  This is the queue-occupancy signal used by the adaptive
         routing family.
         """
-        return self.credits[port].used + len(self.out_requests[port])
+        return self.credits[port]._used + len(self.out_requests[port])
 
     def queue_delay_estimate(self, port: int) -> float:
         """Estimated queueing delay (ns) a packet would see at ``port``."""
         return self.output_occupancy(port) * self._serialization_ns
 
     # ------------------------------------------------------------- receive
+    # The receive -> route -> arbitrate -> grant chain below works on the raw
+    # buffer and credit state (``VcInputBuffer._queues``/``_bytes``,
+    # ``CreditTracker._credits``/``_used``) with the same guards and the same
+    # mutations as the methods of those classes, and runs as one iterative
+    # loop instead of a chain of tail calls.
+
     # reprolint: hot
     def receive_packet(self, in_port: int, packet: Packet) -> None:
         """A packet arrived on ``in_port`` (called by the upstream link)."""
         if packet.trace is not None:
             packet.trace.append(self.router_id)
-        if self.routing is not None:
-            self.routing.on_packet_received(self, in_port, packet)
+        on_recv = self._on_recv
+        if on_recv is not None:
+            on_recv(self, in_port, packet)
         vc = packet.vc
         buffer = self.in_buffers[in_port]
-        buffer.push(vc, packet)
-        if buffer.occupancy(vc) == 1:
+        queue = buffer._queues[vc]
+        occupancy = len(queue)
+        if occupancy >= buffer.capacity:
+            raise OverflowError(
+                f"VC {vc} buffer overflow (capacity {buffer.capacity}); "
+                "credit flow control violated"
+            )
+        queue.append(packet)
+        buffer._bytes += packet.size_bytes
+        if occupancy == 0:
             self._route_head(in_port, vc)
 
     # -------------------------------------------------------------- routing
     # reprolint: hot
     def _route_head(self, in_port: int, vc: int) -> None:
-        """Compute the output port for the new head packet of (in_port, vc)."""
-        packet = self.in_buffers[in_port].head(vc)
-        assert packet is not None, "route_head called on empty queue"
-        dst_router = self._router_of_node[packet.dst_node]
-        if dst_router == self.router_id:
-            out_port = self._terminal_port_of_node[packet.dst_node]
-            next_vc = 0
-        else:
-            # Note: sending a packet back out of the port it arrived on is
-            # legal (UGALn/PAR detours can revisit the intermediate group's
-            # entry router), so no U-turn check is applied here.
-            out_port, next_vc = self.routing.route(self, packet)
-        packet.out_port = out_port
-        packet.next_vc = next_vc
-        packet.request_time = self.sim.now
-        self.out_requests[out_port].append((in_port, vc))
-        self._try_output(out_port)
+        """Route the new head packet of ``(in_port, vc)``, then grant onwards.
+
+        One loop iteration routes a head packet, requests its output port
+        and attempts one grant there; when the grant exposes a new head
+        packet on the granted input, the loop continues with that input.
+        """
+        now = self.sim._now
+        router_id = self.router_id
+        in_buffers = self.in_buffers
+        out_requests = self.out_requests
+        router_of_node = self._router_of_node
+        routing = self._routing
+        while True:
+            packet = in_buffers[in_port]._queues[vc][0]
+            dst_node = packet.dst_node
+            if router_of_node[dst_node] == router_id:
+                out_port = self._terminal_port_of_node[dst_node]
+                next_vc = 0
+            else:
+                # Note: sending a packet back out of the port it arrived on
+                # is legal (UGALn/PAR detours can revisit the intermediate
+                # group's entry router), so no U-turn check is applied here.
+                out_port, next_vc = routing.route(self, packet)  # type: ignore[union-attr]
+            packet.out_port = out_port
+            packet.next_vc = next_vc
+            packet.request_time = now
+            out_requests[out_port].append((in_port, vc))
+            granted = self._grant(out_port)
+            if granted is None:
+                return
+            in_port, vc = granted
 
     # ---------------------------------------------------------- arbitration
     # reprolint: hot
-    def _try_output(self, out_port: int) -> None:
-        """Grant the output port to a waiting head packet if possible."""
+    def _grant(self, out_port: int) -> Optional[Tuple[int, int]]:
+        """Grant ``out_port`` to one waiting head packet if possible.
+
+        Round-robin over the requests: a head packet without a downstream
+        credit on its next VC rotates to the back so other inputs contending
+        for the port still make progress.  Returns the ``(in_port, vc)``
+        whose next head packet must now be routed, or ``None``.
+        """
+        requests = self.out_requests[out_port]
+        if not requests:
+            return None
         link = self.out_links[out_port]
         if link is None or link.busy:
-            return
-        requests = self.out_requests[out_port]
+            return None
+        in_buffers = self.in_buffers
         credits = self.credits[out_port]
+        available = credits._credits
+        packet: Optional[Packet] = None
+        in_port = vc = 0
         for _ in range(len(requests)):
             in_port, vc = requests[0]
-            packet = self.in_buffers[in_port].head(vc)
-            assert packet is not None and packet.out_port == out_port
-            if credits.has_credit(packet.next_vc):
+            head = in_buffers[in_port]._queues[vc][0]
+            if available[head.next_vc] > 0:
                 requests.popleft()
-                self._grant(in_port, vc, out_port, packet)
-                return
-            # Head-of-line packet cannot advance on its VC: rotate so other
-            # inputs contending for this port still make progress.
+                packet = head
+                break
             requests.rotate(-1)
-        return
+        if packet is None:
+            return None
 
-    # reprolint: hot
-    def _grant(self, in_port: int, vc: int, out_port: int, packet: Packet) -> None:
-        """Move a head packet from its input buffer onto the output link."""
-        popped = self.in_buffers[in_port].pop(vc)
-        assert popped is packet
-        self.credits[out_port].consume(packet.next_vc)
+        buffer = in_buffers[in_port]
+        queue = buffer._queues[vc]
+        queue.popleft()
+        buffer._bytes -= packet.size_bytes
+        next_vc = packet.next_vc
+        # Cannot underflow: the arbitration guard just saw a credit.
+        available[next_vc] -= 1  # type: ignore[index]
+        credits._used += 1
 
         # request_time == 0.0 is a legitimate timestamp (packets routed at
         # t=0), so test against None rather than falsiness.
         request_time = packet.request_time
-        stall = self.sim.now - request_time if request_time is not None else 0.0
-        stats = self.stats
-        if stats is not None:
-            stats.record_port_stall(self, out_port, stall, packet.app_id)
-            stats.record_hop(self, in_port, out_port, packet)
+        stall = self.sim._now - request_time if request_time is not None else 0.0
+        if stall > 0.0:
+            stats = self.stats
+            if stats is not None:
+                stats.record_port_stall(self, out_port, stall, packet.app_id)
 
-        packet.vc = packet.next_vc
+        packet.vc = next_vc  # type: ignore[assignment]
         packet.hop_count += 1
         packet.out_port = None
         packet.next_vc = None
@@ -224,22 +287,38 @@ class Router:
         in_link = self.in_links[in_port]
         if in_link is not None:
             in_link.return_credit(vc)
+        link.transmit(packet)
+        # The next packet on this (port, VC) becomes head and gets routed.
+        if queue:
+            return in_port, vc
+        return None
 
-        self.out_links[out_port].transmit(packet)
-
-        # The next packet on this (port, VC) becomes head and gets routed now.
-        if self.in_buffers[in_port].occupancy(vc) > 0:
-            self._route_head(in_port, vc)
+    # reprolint: hot
+    def _try_output(self, out_port: int) -> None:
+        """Grant the output port to a waiting head packet if possible."""
+        granted = self._grant(out_port)
+        if granted is not None:
+            self._route_head(*granted)
 
     # ------------------------------------------------------------ callbacks
-    def link_free(self, out_port: int) -> None:
-        """Output link finished serializing: try to grant the next packet."""
-        self._try_output(out_port)
+    #: Output link finished serializing: try to grant the next packet.
+    link_free = _try_output
 
+    # reprolint: hot
     def credit_returned(self, out_port: int, vc: int) -> None:
         """Downstream freed a buffer slot on (out_port, vc)."""
-        self.credits[out_port].release(vc)
-        self._try_output(out_port)
+        credits = self.credits[out_port]
+        available = credits._credits
+        if available[vc] >= credits.initial:
+            raise RuntimeError(
+                f"credit overflow on VC {vc}: more credits returned than the "
+                "downstream buffer can hold"
+            )
+        available[vc] += 1
+        credits._used -= 1
+        granted = self._grant(out_port)
+        if granted is not None:
+            self._route_head(*granted)
 
     # ------------------------------------------------------------------ misc
     @property

@@ -67,18 +67,28 @@ class QAdaptiveRouting(RoutingAlgorithm):
         topo = self.topology
         self._local_ports = tuple(topo.local_ports())
         self._router_ports = tuple(topo.local_ports()) + tuple(topo.global_ports())
+        # Destination keys, interned: one tuple per group and per router,
+        # built once instead of once per routed or received packet.
+        self._group_keys: List[DestKey] = [("g", g) for g in range(topo.num_groups)]
+        self._router_keys: List[DestKey] = [("r", r) for r in range(topo.num_routers)]
 
     # --------------------------------------------------------------- tables
     def table_for(self, router: "Router") -> QTable:
         """The Q-table of ``router`` (created on first use)."""
         table = self._tables.get(router.router_id)
         if table is None:
-            table = QTable(router.router_id, self._make_initializer(router))
+            table = QTable(
+                router.router_id, self.topology.ports_per_router, self._make_initializer(router)
+            )
             self._tables[router.router_id] = table
         return table
 
     def _make_initializer(self, router: "Router") -> Callable[[int, DestKey], float]:
-        """Optimistic zero-load initial estimates for a router's table."""
+        """Optimistic zero-load initial estimates for a router's table.
+
+        The hop cost and the neighbour behind every port are tabulated once
+        per table, so materializing an entry is a few list reads.
+        """
         topo = self.topology
         config = self.network.config.system
         local, global_, terminal = (
@@ -87,24 +97,33 @@ class QAdaptiveRouting(RoutingAlgorithm):
             config.terminal_latency_ns,
         )
         serialization = config.packet_serialization_ns
+        hop: List[float] = []
+        #: Router behind each port (-1: the port leads to a node).
+        next_router: List[int] = []
+        next_group: List[int] = []
+        for port in range(topo.ports_per_router):
+            hop.append(topo.link_latency(port) + serialization)
+            neighbor = topo.neighbor(router.router_id, port)
+            if neighbor.is_node:
+                next_router.append(-1)
+                next_group.append(-1)
+            else:
+                next_router.append(neighbor.router)
+                next_group.append(topo.group_of_router(neighbor.router))
 
         def initializer(port: int, dest: DestKey) -> float:
             # Remaining time ≈ hop over `port` + minimal remainder from the
             # neighbour, assuming an uncongested network.
-            hop = topo.link_latency(port) + serialization
-            neighbor = topo.neighbor(router.router_id, port)
-            if neighbor.is_node:
-                return hop
-            next_router = neighbor.router
+            peer = next_router[port]
+            if peer < 0:
+                return hop[port]
             if dest[0] == "r":
-                remaining = 0.0 if next_router == dest[1] else local
+                remaining = 0.0 if peer == dest[1] else local
+            elif next_group[port] == dest[1]:
+                remaining = local
             else:
-                next_group = topo.group_of_router(next_router)
-                if next_group == dest[1]:
-                    remaining = local
-                else:
-                    remaining = local + global_ + local
-            return hop + remaining + terminal
+                remaining = local + global_ + local
+            return hop[port] + remaining + terminal
 
         return initializer
 
@@ -114,8 +133,8 @@ class QAdaptiveRouting(RoutingAlgorithm):
         dst_router = topo.router_of_node_table[packet.dst_node]
         dst_group = topo.group_of_router_table[dst_router]
         if dst_group == router.group:
-            return ("r", dst_router)
-        return ("g", dst_group)
+            return self._router_keys[dst_router]
+        return self._group_keys[dst_group]
 
     def _candidates(self, router: "Router", packet: Packet) -> List[Tuple[int, int, int | None]]:
         """Candidate first hops: ``(port, PathClass, intermediate_group)``."""
@@ -164,6 +183,7 @@ class QAdaptiveRouting(RoutingAlgorithm):
         return port, self.next_vc(router, packet)
 
     # ------------------------------------------------------------- learning
+    # reprolint: hot
     def estimate_remaining(self, router: "Router", packet: Packet) -> float:
         """This router's best estimate of the packet's remaining delivery time.
 
@@ -172,23 +192,30 @@ class QAdaptiveRouting(RoutingAlgorithm):
         ``queue_weight * queue_delay + Q`` over every viable output port — not
         just the port the packet happens to take next.
         """
-        dst_router = self.topology.router_of_node_table[packet.dst_node]
+        topo = self.topology
+        dst_router = topo.router_of_node_table[packet.dst_node]
         if dst_router == router.router_id:
             # Only the terminal hop remains.
             return self._terminal_remaining
         table = self.table_for(router)
-        dest = self._dest_key(router, packet)
-        ports = self._local_ports if dest[0] == "r" else self._router_ports
+        dst_group = topo.group_of_router_table[dst_router]
+        if dst_group == router.group:
+            dest = self._router_keys[dst_router]
+            ports = self._local_ports
+        else:
+            dest = self._group_keys[dst_group]
+            ports = self._router_ports
         weight_ns = self.config.q_queue_weight * self._serialization_ns
         credits = router.credits
         requests = router.out_requests
-        get = table.get
+        row = table.row(dest)
         best = float("inf")
         for port in ports:
-            score = (
-                weight_ns * (credits[port].used + len(requests[port]))
-                + get(port, dest)
-            )
+            q = row[port]
+            if q is None:
+                q = table.get(port, dest)
+            # Router.output_occupancy, inlined.
+            score = weight_ns * (credits[port]._used + len(requests[port])) + q
             if score < best:
                 best = score
         return best

@@ -6,45 +6,78 @@ nanoseconds) towards
 * every destination *group* (the inter-group level), and
 * every destination *router of the local group* (the intra-group level).
 
-Entries are created lazily and initialized with an optimistic zero-load
-estimate provided by the caller, so the very first packets follow minimal
-paths and exploration starts from a sensible prior — matching the paper's
-setup where Q-adaptive starts "without any pre-trained information".
+Storage is one port-indexed row per destination key: ``row[port]`` is the
+Q-value of forwarding towards that destination through ``port``, or ``None``
+while the entry has not been materialized.  Entries materialize lazily on
+first touch, initialized with an optimistic zero-load estimate provided by
+the caller, so the very first packets follow minimal paths and exploration
+starts from a sensible prior — matching the paper's setup where Q-adaptive
+starts "without any pre-trained information".
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["QTable"]
 
 #: Destination key: ("g", group_id) for inter-group, ("r", router_id) intra-group.
 DestKey = Tuple[str, int]
 
+#: One destination's Q-values, indexed by output port (None = not yet touched).
+QRow = List[Optional[float]]
+
 
 class QTable:
-    """Per-router table mapping (output port, destination key) to a Q-value."""
+    """Per-router table mapping (output port, destination key) to a Q-value.
 
-    __slots__ = ("router_id", "_values", "_initializer", "updates")
+    Parameters
+    ----------
+    router_id:
+        The router owning the table.
+    num_ports:
+        Output ports per router: the length of every row.
+    initializer:
+        ``initializer(port, dest)`` gives the initial estimate of an entry
+        the first time it is touched.
+    """
+
+    __slots__ = ("router_id", "num_ports", "_rows", "_initializer", "_entries", "updates")
 
     def __init__(
         self,
         router_id: int,
+        num_ports: int,
         initializer: Callable[[int, DestKey], float],
     ):
         self.router_id = router_id
-        self._values: Dict[Tuple[int, DestKey], float] = {}
+        self.num_ports = num_ports
+        self._rows: Dict[DestKey, QRow] = {}
         self._initializer = initializer
+        self._entries = 0
         #: Number of learning updates applied (observability / tests).
         self.updates = 0
 
+    def row(self, dest: DestKey) -> QRow:
+        """The port-indexed row of ``dest`` (``None`` = entry not touched yet).
+
+        Read-only for callers: an untouched entry must be materialized with
+        :meth:`get`, never written directly.
+        """
+        row = self._rows.get(dest)
+        if row is None:
+            row = [None] * self.num_ports
+            self._rows[dest] = row
+        return row
+
     def get(self, port: int, dest: DestKey) -> float:
         """Current Q-value for forwarding towards ``dest`` through ``port``."""
-        key = (port, dest)
-        value = self._values.get(key)
+        row = self.row(dest)
+        value = row[port]
         if value is None:
             value = float(self._initializer(port, dest))
-            self._values[key] = value
+            row[port] = value
+            self._entries += 1
         return value
 
     def update(self, port: int, dest: DestKey, sample: float, learning_rate: float) -> float:
@@ -59,7 +92,7 @@ class QTable:
             raise ValueError("learning rate must be in (0, 1]")
         old = self.get(port, dest)
         new = (1.0 - learning_rate) * old + learning_rate * sample
-        self._values[(port, dest)] = new
+        self._rows[dest][port] = new
         self.updates += 1
         return new
 
@@ -82,11 +115,16 @@ class QTable:
 
     def known_entries(self) -> int:
         """Number of materialized (port, destination) entries."""
-        return len(self._values)
+        return self._entries
 
     def snapshot(self) -> Dict[Tuple[int, DestKey], float]:
-        """Copy of the current table contents (for inspection and tests)."""
-        return dict(self._values)
+        """Copy of the materialized entries (for inspection and tests)."""
+        return {
+            (port, dest): value
+            for dest, row in self._rows.items()
+            for port, value in enumerate(row)
+            if value is not None
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"QTable(router={self.router_id}, entries={len(self._values)}, updates={self.updates})"
+        return f"QTable(router={self.router_id}, entries={self._entries}, updates={self.updates})"

@@ -1,6 +1,11 @@
 """Unit tests of the discrete-event engine."""
 
+import importlib
+import pkgutil
+
 import pytest
+
+import repro
 
 from repro.core.engine import SimulationError, Simulator
 from repro.core.events import EventKind
@@ -162,3 +167,32 @@ def test_run_is_not_reentrant():
 
     sim.schedule(1.0, reenter)
     sim.run()
+
+
+def _all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _all_subclasses(sub)
+
+
+def test_simulator_run_is_the_only_event_loop():
+    """The event loop lives in ``Simulator.run`` itself: no subclass anywhere
+    in the package overrides it (a second loop would also escape the
+    ``Simulator.run`` timing probe the benchmark relies on)."""
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        importlib.import_module(info.name)
+    assert Simulator.run.__module__ == "repro.core.engine"
+    overriding = [cls for cls in _all_subclasses(Simulator) if "run" in vars(cls)]
+    assert overriding == []
+
+
+def test_stop_takes_effect_before_the_next_same_time_event():
+    sim = Simulator()
+    fired = []
+    sim.schedule(5.0, fired.append, "a")
+    sim.schedule(5.0, sim.stop)
+    sim.schedule(5.0, fired.append, "b")
+    sim.run()
+    assert fired == ["a"]
+    sim.run()
+    assert fired == ["a", "b"]

@@ -18,6 +18,7 @@ Three layers:
 import pytest
 
 from repro.config import SimulationConfig, tiny_system
+from repro.core.engine import Simulator
 from repro.experiments.configs import AppSpec
 from repro.experiments.scenario import (
     Scenario,
@@ -112,14 +113,12 @@ def test_expand_grid_sweeps_the_fidelity_axis():
 
 # ------------------------------------------------------------------ solver
 def _flow_network(routing="minimal", seed=3):
-    from repro.backends import get_backend
-
     config = (
         SimulationConfig(system=tiny_system(), seed=seed)
         .with_routing(routing)
         .with_fidelity("flow")
     )
-    sim = get_backend("reference").create_simulator()
+    sim = Simulator()
     network = FlowNetwork(sim, config)
     return sim, network
 

@@ -21,8 +21,8 @@ import random
 
 import pytest
 
-from repro.backends import ENV_BACKEND, backend_names, get_backend
 from repro.config import SimulationConfig, tiny_system
+from repro.core.engine import Simulator
 from repro.mpi.engine import MpiEngine
 from repro.network.network import DragonflyNetwork
 from repro.placement import create_placement
@@ -54,17 +54,6 @@ WORKLOAD_POOL = [
 SCENARIOS_PER_ALGORITHM = 3
 
 
-@pytest.fixture(params=backend_names())
-def backend(request, monkeypatch):
-    """Backend axis: every invariant must hold under every backend.
-
-    The CI ``REPRO_BACKEND`` override is cleared so each parametrization
-    exercises exactly the backend it names.
-    """
-    monkeypatch.delenv(ENV_BACKEND, raising=False)
-    return request.param
-
-
 def _random_jobs(rng: random.Random):
     """1-2 random small jobs, occasionally with a staggered arrival."""
     names = rng.sample(WORKLOAD_POOL, k=rng.choice([1, 2]))
@@ -81,15 +70,14 @@ def _random_jobs(rng: random.Random):
     return jobs
 
 
-def _run(algorithm: str, case_seed: int, backend: str = "reference"):
+def _run(algorithm: str, case_seed: int):
     """Build one randomized scenario and run it to completion."""
     rng = random.Random(0xD43F ^ case_seed)
     config = SimulationConfig(system=tiny_system(), seed=rng.randint(1, 50)).with_routing(
         algorithm
     )
-    sim_backend = get_backend(backend)
-    sim = sim_backend.create_simulator(trace=True)
-    network = DragonflyNetwork(sim, config, backend=sim_backend)
+    sim = Simulator(trace=True)
+    network = DragonflyNetwork(sim, config)
     engine = MpiEngine(network)
     allocator = NodeAllocator(network.num_nodes)
     policy = create_placement(rng.choice(["random", "contiguous"]))
@@ -111,8 +99,8 @@ CASES = [
 
 
 @pytest.mark.parametrize("algorithm,case", CASES, ids=[f"{a}-{c}" for a, c in CASES])
-def test_invariants_hold_for_randomized_scenarios(algorithm, case, backend):
-    sim, network, engine = _run(algorithm, case, backend)
+def test_invariants_hold_for_randomized_scenarios(algorithm, case):
+    sim, network, engine = _run(algorithm, case)
     stats = network.stats
 
     # --- packet conservation: injected == delivered exactly once, drained.
@@ -160,15 +148,14 @@ ML_PATTERNS = ["ml.ring_allreduce", "ml.moe_alltoall", "ml.pipeline_p2p"]
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 @pytest.mark.parametrize("pattern", ML_PATTERNS)
-def test_ml_collectives_conserve_packets_under_every_routing(pattern, algorithm, backend):
+def test_ml_collectives_conserve_packets_under_every_routing(pattern, algorithm):
     """Every ML-collective pattern completes and conserves packets under
     every routing algorithm — the deadlock-freedom check for the family's
     hand-built communication schedules (ring rounds, pairwise exchanges,
     pipeline chains)."""
     config = SimulationConfig(system=tiny_system(), seed=11).with_routing(algorithm)
-    sim_backend = get_backend(backend)
-    sim = sim_backend.create_simulator()
-    network = DragonflyNetwork(sim, config, backend=sim_backend)
+    sim = Simulator()
+    network = DragonflyNetwork(sim, config)
     engine = MpiEngine(network)
     allocator = NodeAllocator(network.num_nodes)
     policy = create_placement("random")
@@ -184,7 +171,7 @@ def test_ml_collectives_conserve_packets_under_every_routing(pattern, algorithm,
     assert network.quiescent(), "packets left buffered after completion"
 
 
-def test_packet_conservation_at_measurement_window_cut(backend):
+def test_packet_conservation_at_measurement_window_cut():
     """Every injected packet is accounted for when the run is cut at the
     measurement-window boundary with packets still in flight: it was either
     delivered, sits in a router input buffer, or is traversing a link (a
@@ -195,7 +182,7 @@ def test_packet_conservation_at_measurement_window_cut(backend):
 
     config = SimulationConfig(
         system=tiny_system(), seed=7, warmup_ns=2_000.0, measurement_ns=8_000.0
-    ).with_routing("par").with_backend(backend)
+    ).with_routing("par")
     scenario = Scenario(
         name="loadcurve/cut",
         jobs=(AppSpec("shift", 6, {"offered_load": 0.9}),),
@@ -219,12 +206,11 @@ def test_packet_conservation_at_measurement_window_cut(backend):
     assert stats.measured_packets_ejected <= stats.total_packets_injected
 
 
-def test_staggered_job_injects_nothing_before_arrival(backend):
+def test_staggered_job_injects_nothing_before_arrival():
     """No packet of a staggered job may enter the network before its start."""
     config = SimulationConfig(system=tiny_system(), seed=5).with_routing("par")
-    sim_backend = get_backend(backend)
-    sim = sim_backend.create_simulator()
-    network = DragonflyNetwork(sim, config, backend=sim_backend)
+    sim = Simulator()
+    network = DragonflyNetwork(sim, config)
     engine = MpiEngine(network)
     allocator = NodeAllocator(network.num_nodes)
     policy = create_placement("random")
@@ -273,8 +259,7 @@ def _run_flow(algorithm: str, case_seed: int):
         .with_routing(algorithm)
         .with_fidelity("flow")
     )
-    sim_backend = get_backend("reference")
-    sim = sim_backend.create_simulator(trace=True)
+    sim = Simulator(trace=True)
     network = FlowNetwork(sim, config)
     engine = MpiEngine(network)
     allocator = NodeAllocator(network.num_nodes)

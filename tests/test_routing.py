@@ -132,7 +132,7 @@ def test_par_revises_minimal_decision_in_source_group():
 
 
 def test_qtable_update_moves_towards_sample():
-    table = QTable(0, initializer=lambda port, dest: 100.0)
+    table = QTable(0, num_ports=4, initializer=lambda port, dest: 100.0)
     assert table.get(2, ("g", 1)) == pytest.approx(100.0)
     value = table.update(2, ("g", 1), 200.0, learning_rate=0.5)
     assert value == pytest.approx(150.0)
@@ -144,7 +144,7 @@ def test_qtable_update_moves_towards_sample():
 
 
 def test_qtable_best_picks_lowest_score():
-    table = QTable(0, initializer=lambda port, dest: {1: 50.0, 2: 10.0}[port])
+    table = QTable(0, num_ports=3, initializer=lambda port, dest: {1: 50.0, 2: 10.0}[port])
     port, score = table.best([(1, 0.0), (2, 0.0)], ("g", 3))
     assert port == 2 and score == pytest.approx(10.0)
     port, _ = table.best([(1, 0.0), (2, 100.0)], ("g", 3))
@@ -180,6 +180,65 @@ def _toy_qadaptive_network():
     config = SimulationConfig(system=system, seed=1).with_routing("q-adaptive")
     sim = Simulator()
     return sim, DragonflyNetwork(sim, config)
+
+
+def _neighbor_formula(network, router_id, port, dest):
+    """The Q-table's initial estimate, from a checked ``topology.neighbor()``.
+
+    The original per-entry formula: the table-built initializer must
+    reproduce it exactly for every router, port and destination key.
+    """
+    topo = network.topology
+    system = network.config.system
+    hop = topo.link_latency(port) + system.packet_serialization_ns
+    neighbor = topo.neighbor(router_id, port)
+    if neighbor.is_node:
+        return hop
+    if dest[0] == "r":
+        remaining = 0.0 if neighbor.router == dest[1] else system.local_latency_ns
+    elif topo.group_of_router(neighbor.router) == dest[1]:
+        remaining = system.local_latency_ns
+    else:
+        remaining = system.local_latency_ns + system.global_latency_ns + system.local_latency_ns
+    return hop + remaining + system.terminal_latency_ns
+
+
+@pytest.mark.parametrize("system", ["tiny", "toy"])
+def test_qtable_initial_estimates_match_neighbor_formula(system):
+    if system == "tiny":
+        network = _network("q-adaptive")
+    else:
+        _, network = _toy_qadaptive_network()
+    routing = network.routing
+    topo = network.topology
+    for router in network.routers:
+        dests = [("g", g) for g in range(topo.num_groups) if g != router.group]
+        dests += [("r", r) for r in topo.routers_of_group(router.group)]
+        table = routing.table_for(router)
+        for dest in dests:
+            for port in range(topo.ports_per_router):
+                expected = _neighbor_formula(network, router.router_id, port, dest)
+                assert table.get(port, dest) == expected, (router.router_id, port, dest)
+
+
+def test_qtable_counts_only_touched_entries():
+    network = _network("q-adaptive")
+    table = network.routing.table_for(network.routers[0])
+    num_ports = network.topology.ports_per_router
+    a, b, c = num_ports - 3, num_ports - 2, num_ports - 1
+    assert table.known_entries() == 0 and table.snapshot() == {}
+    # Reading a row materializes nothing; get/update/best touch one entry each.
+    assert table.row(("g", 2)) == [None] * num_ports
+    assert table.known_entries() == 0
+    first = table.get(a, ("g", 2))
+    table.update(a, ("g", 2), 100.0, learning_rate=0.5)
+    table.update(b, ("g", 2), 100.0, learning_rate=0.5)
+    table.best([(c, 0.0)], ("r", 1))
+    snapshot = table.snapshot()
+    assert table.known_entries() == 3 == len(snapshot)
+    assert set(snapshot) == {(a, ("g", 2)), (b, ("g", 2)), (c, ("r", 1))}
+    assert snapshot[(a, ("g", 2))] == 0.5 * first + 0.5 * 100.0
+    assert table.updates == 2
 
 
 def test_qadaptive_estimate_is_min_over_all_viable_ports():

@@ -27,6 +27,7 @@ from repro.experiments.scenario import (
 )
 from repro.experiments.sweep import run_sweep
 from repro.placement import RandomPlacement
+from repro.results import flatten_run
 from repro.workloads import resolve_application
 
 
@@ -248,9 +249,18 @@ def test_unknown_backend_rejected_at_construction():
         SimulationConfig(system=tiny_system(), backend="bogus")
     with pytest.raises(ValueError, match="valid backends"):
         _tiny_scenario().config.with_backend("bogus")
-    # Aliases canonicalize, so serialized forms never contain alias spellings.
-    assert SimulationConfig(system=tiny_system(), backend="optimized").backend == "fast"
-    assert SimulationConfig(system=tiny_system(), backend="REF").backend == "reference"
+    # Names canonicalize, so serialized forms are always the canonical spelling.
+    assert SimulationConfig(system=tiny_system(), backend=" FAST ").backend == "fast"
+    assert SimulationConfig(system=tiny_system(), backend="Reference").backend == "reference"
+
+
+def test_stored_fast_backend_scenario_runs_the_one_core():
+    """``backend="fast"`` in a stored scenario still parses and keeps its hash,
+    but selects nothing: the run is the default run, value for value."""
+    scenario = _tiny_scenario()
+    pinned = Scenario.from_dict(_tiny_scenario(config=scenario.config.with_backend("fast")).to_dict())
+    assert pinned.config.backend == "fast"
+    assert flatten_run(pinned.run()) == flatten_run(scenario.run())
 
 
 # -------------------------------------------------------------------- registry

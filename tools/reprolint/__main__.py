@@ -4,15 +4,9 @@ Exit status: 0 clean, 1 findings (or baseline violations), 2 usage/IO
 error — so the CI lint job and the tier-1 self-check can gate on it
 directly.
 
-The two ``--update-*`` maintenance modes rewrite committed artifacts and
-exit 0 so they compose in scripts:
-
-* ``--update-parity`` regenerates ``tools/reprolint/parity_manifest.json``
-  from the current tree (run it whenever a REP503/REP504 finding is
-  reviewed and the hot-core change is intentional);
-* ``--update-baseline`` rewrites the ``--baseline`` file to exactly the
-  current findings (the ratchet: review what it adds, celebrate what it
-  drops).
+``--update-baseline`` rewrites the ``--baseline`` file to exactly the
+current findings and exits 0 (the ratchet: review what it adds, celebrate
+what it drops).
 """
 
 from __future__ import annotations
@@ -23,12 +17,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from tools.reprolint.checkers.parity import compute_manifest
 from tools.reprolint.core import (
-    PARITY_MANIFEST_PATH,
     all_rules,
-    build_project,
-    collect_files,
     findings_to_json,
     lint_paths,
 )
@@ -47,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m tools.reprolint",
         description="Domain-specific static analysis for the Dragonfly repro "
         "(determinism, hash stability, unit dataflow, hot-path discipline, "
-        "backend parity, exception contracts).",
+        "exception contracts).",
     )
     parser.add_argument(
         "paths",
@@ -89,12 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         "longer fire on their target line (REP002)",
     )
     parser.add_argument(
-        "--update-parity",
-        action="store_true",
-        help="regenerate tools/reprolint/parity_manifest.json from the "
-        "linted tree and exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -119,23 +103,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.update_baseline and not args.baseline:
         print("reprolint: --update-baseline requires --baseline", file=sys.stderr)
         return 2
-
-    if args.update_parity:
-        try:
-            sources = {
-                str(path): path.read_text(encoding="utf-8")
-                for path in collect_files(args.paths)
-            }
-        except FileNotFoundError as exc:
-            print(f"reprolint: {exc}", file=sys.stderr)
-            return 2
-        manifest = compute_manifest(build_project(sources))
-        PARITY_MANIFEST_PATH.write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        pairs = len(manifest.get("pairs", {}))
-        print(f"reprolint: wrote {PARITY_MANIFEST_PATH} ({pairs} reference methods)")
-        return 0
 
     select = None
     if args.select:

@@ -11,15 +11,13 @@ The framework is deliberately small and dependency-free (stdlib ``ast`` +
 * :func:`register` — decorator adding a checker class to the global registry;
 * :class:`ModuleInfo` — a parsed source file plus the comment-derived side
   tables every checker needs: suppression lines (``# reprolint:
-  disable=CODE``), hot-block markers (``# reprolint: hot``), parity-review
-  acknowledgements (``# reprolint: parity-reviewed``) and worker-boundary
-  markers (``# reprolint: boundary[=ErrorType]``);
+  disable=CODE``), hot-block markers (``# reprolint: hot``) and
+  worker-boundary markers (``# reprolint: boundary[=ErrorType]``);
 * :class:`ProjectIndex` — cross-file facts collected in a first pass over
   every linted module: the dataclass-field/default index the hash-stability
   family cross-checks serializers against, the project-wide
   :class:`~tools.reprolint.symbols.SymbolTable` (imports, classes, call
-  resolution) behind the dataflow and parity families, and the backend
-  parity manifest;
+  resolution) behind the dataflow and exception-contract families;
 * :func:`lint_paths` / :func:`lint_sources` — the two entry points: walk
   files, build the index, run every registered checker, drop suppressed
   findings (optionally reporting suppressions that no longer suppress
@@ -52,7 +50,6 @@ __all__ = [
     "ModuleInfo",
     "ProjectIndex",
     "all_rules",
-    "build_project",
     "findings_to_json",
     "lint_paths",
     "lint_sources",
@@ -61,12 +58,11 @@ __all__ = [
 ]
 
 #: ``# reprolint: <directive>`` comment.  The directive is ``hot``,
-#: ``parity-reviewed``, ``boundary[=ErrorType]`` or
+#: ``boundary[=ErrorType]`` or
 #: ``disable=CODE[,CODE...]``; anything after ``--`` is a human justification.
 _DIRECTIVE = re.compile(r"#\s*reprolint:\s*(?P<body>[^#]*)")
 _DISABLE = re.compile(r"disable\s*=\s*(?P<codes>[A-Za-z0-9_,\s]+)")
 _HOT = re.compile(r"\bhot\b")
-_PARITY_REVIEWED = re.compile(r"\bparity-reviewed\b")
 _BOUNDARY = re.compile(r"\bboundary(?:\s*=\s*(?P<error>[A-Za-z_][A-Za-z0-9_.]*))?")
 
 #: Rules emitted by the framework itself rather than a registered checker.
@@ -75,9 +71,6 @@ FRAMEWORK_RULES: Dict[str, str] = {
     "REP002": "unused suppression: the disabled code no longer fires on "
     "the target line",
 }
-
-#: Default location of the committed backend-parity manifest (REP5xx).
-PARITY_MANIFEST_PATH = Path(__file__).resolve().parent / "parity_manifest.json"
 
 
 @dataclass(frozen=True)
@@ -128,9 +121,6 @@ class ModuleInfo:
     suppressions: Dict[int, Set[str]] = field(default_factory=dict)
     #: lines carrying a ``# reprolint: hot`` marker.
     hot_lines: Set[int] = field(default_factory=set)
-    #: lines carrying a ``# reprolint: parity-reviewed`` acknowledgement
-    #: (REP503 drift on the method defined on/after this line is waived).
-    parity_lines: Set[int] = field(default_factory=set)
     #: line -> declared wrapper error type ("" = catch-all contract) for
     #: ``# reprolint: boundary[=ErrorType]`` markers.
     boundary_lines: Dict[int, str] = field(default_factory=dict)
@@ -160,7 +150,7 @@ class ModuleInfo:
 class ProjectIndex:
     """Cross-file facts shared by every checker.
 
-    Three tables:
+    Two tables:
 
     * ``dataclasses`` maps a dataclass name to ``{field_name: default}``
       where the default is the literal default value when it is statically
@@ -168,9 +158,7 @@ class ProjectIndex:
       not a literal, and :data:`NO_DEFAULT` for required fields;
     * ``symbols`` — the project-wide :class:`~tools.reprolint.symbols.SymbolTable`
       (modules, classes, functions, import bindings, call resolution) built
-      once over every linted module;
-    * ``parity_manifest`` — the committed backend-parity hash manifest the
-      REP5xx family diffs against (None when absent).
+      once over every linted module.
     """
 
     #: Sentinel: field has a default but its value is not a literal.
@@ -182,9 +170,6 @@ class ProjectIndex:
         self.dataclasses: Dict[str, Dict[str, object]] = {}
         self.symbols = SymbolTable()
         self.modules: List[ModuleInfo] = []
-        self.parity_manifest: Optional[dict] = None
-        #: Path the manifest was loaded from, as reported in findings.
-        self.parity_manifest_label: str = "tools/reprolint/parity_manifest.json"
 
     # ------------------------------------------------------------- building
     def add_module(self, module: ModuleInfo) -> None:
@@ -274,7 +259,7 @@ class Checker:
     def prepare(self, project: ProjectIndex) -> None:
         """One-time cross-module pass, called before any :meth:`check`.
 
-        Checkers that analyze the whole project (dataflow, parity) compute
+        Checkers that analyze the whole project (dataflow) compute
         their per-module findings here and replay them from :meth:`check`.
         """
 
@@ -323,7 +308,7 @@ def all_rules() -> Dict[str, str]:
 def _scan_comments(module: ModuleInfo) -> None:
     """Populate the comment-derived side tables from the token stream.
 
-    Fills suppressions, hot/parity/boundary marker lines and the directive
+    Fills suppressions, hot/boundary marker lines and the directive
     list.  Tokenizing (rather than regexing raw lines) means directives
     inside string literals are never honoured.
     """
@@ -342,8 +327,6 @@ def _scan_comments(module: ModuleInfo) -> None:
         standalone = token.line.strip().startswith("#")
         if _HOT.search(body):
             module.hot_lines.add(line)
-        if _PARITY_REVIEWED.search(body):
-            module.parity_lines.add(line)
         boundary = _BOUNDARY.search(body)
         if boundary:
             module.boundary_lines[line] = boundary.group("error") or ""
@@ -399,18 +382,6 @@ def collect_files(paths: Sequence[str]) -> List[Path]:
     return unique
 
 
-_LOAD_DEFAULT_MANIFEST = object()
-
-
-def _load_default_manifest() -> Optional[dict]:
-    if not PARITY_MANIFEST_PATH.exists():
-        return None
-    try:
-        return json.loads(PARITY_MANIFEST_PATH.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):  # pragma: no cover - corrupt manifest
-        return None
-
-
 def _unused_disables(module: ModuleInfo, raw: List[Finding]) -> Iterator[Finding]:
     """REP002 findings for disable directives that suppress nothing."""
     by_line: Dict[int, Set[str]] = {}
@@ -436,15 +407,12 @@ def lint_sources(
     sources: Dict[str, str],
     select: Optional[Iterable[str]] = None,
     *,
-    parity_manifest: object = _LOAD_DEFAULT_MANIFEST,
     report_unused_disables: bool = False,
 ) -> List[Finding]:
     """Lint in-memory sources (``path -> text``).  The test-friendly core.
 
     ``select`` restricts output to the given rule codes or code prefixes
-    (``"REP1"`` selects the whole determinism family).  ``parity_manifest``
-    overrides the committed REP5xx manifest (a parsed dict, or None to run
-    without one); by default the committed file is loaded.  With
+    (``"REP1"`` selects the whole determinism family).  With
     ``report_unused_disables``, disable directives whose codes no longer
     fire on their target line are reported as REP002.
     """
@@ -458,11 +426,6 @@ def lint_sources(
             modules.append(module)
 
     project = ProjectIndex()
-    if parity_manifest is _LOAD_DEFAULT_MANIFEST:
-        project.parity_manifest = _load_default_manifest()
-    else:
-        project.parity_manifest = parity_manifest  # type: ignore[assignment]
-
     for module in modules:
         project.add_module(module)
 
@@ -484,25 +447,10 @@ def lint_sources(
     return findings
 
 
-def build_project(sources: Dict[str, str]) -> ProjectIndex:
-    """Parse ``sources`` into a populated :class:`ProjectIndex`, no linting.
-
-    ``--update-parity`` uses this to recompute the backend-parity manifest
-    from the same file set a lint run would see.
-    """
-    project = ProjectIndex()
-    for path, text in sources.items():
-        module, _ = _parse_module(path, text)
-        if module is not None:
-            project.add_module(module)
-    return project
-
-
 def lint_paths(
     paths: Sequence[str],
     select: Optional[Iterable[str]] = None,
     *,
-    parity_manifest: object = _LOAD_DEFAULT_MANIFEST,
     report_unused_disables: bool = False,
 ) -> List[Finding]:
     """Lint files and directories; the CLI entry point calls this."""
@@ -512,7 +460,6 @@ def lint_paths(
     return lint_sources(
         sources,
         select=select,
-        parity_manifest=parity_manifest,
         report_unused_disables=report_unused_disables,
     )
 
