@@ -134,7 +134,7 @@ class Link:
         if self.busy:
             raise RuntimeError(f"link {self.link_id} is busy; arbitration bug upstream")
         self.busy = True
-        ser = (packet.num_flits * self.flit_size) / self.bandwidth
+        ser = self.serialization_time(packet)
         self.busy_time += ser
         self.bytes_carried += packet.size_bytes
         self.packets_carried += 1

@@ -98,7 +98,7 @@ class QAdaptiveRouting(RoutingAlgorithm):
         )
         serialization = config.packet_serialization_ns
         hop: List[float] = []
-        #: Router behind each port (-1: the port leads to a node).
+        # Router behind each port (-1: the port leads to a node).
         next_router: List[int] = []
         next_group: List[int] = []
         for port in range(topo.ports_per_router):

@@ -72,7 +72,9 @@ class QTable:
 
     def get(self, port: int, dest: DestKey) -> float:
         """Current Q-value for forwarding towards ``dest`` through ``port``."""
-        row = self.row(dest)
+        row = self._rows.get(dest)
+        if row is None:
+            row = self.row(dest)
         value = row[port]
         if value is None:
             value = float(self._initializer(port, dest))
