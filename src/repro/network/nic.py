@@ -85,39 +85,30 @@ class Nic:
         self.injection_queue.extend(packets)
         self._try_inject()
 
-    # reprolint: hot
     def _try_inject(self) -> None:
         """Inject the next queued packet if the terminal link and credits allow."""
-        queue = self.injection_queue
-        if not queue:
+        if not self.injection_queue:
             return
         link = self.out_link
         if link is None:
             raise RuntimeError(f"NIC {self.node_id} is not wired to a router")
         if link.busy:
             return
+        packet = self.injection_queue[0]
         # All packets enter the network on VC 0; the VC index then follows the
         # hop count, which keeps VC order strictly increasing along any path.
-        # The credit is taken from the raw tracker state behind the same
-        # guard as CreditTracker.has_credit/consume, so it cannot underflow.
-        credits = self.credits
-        available = credits._credits
-        if available[0] <= 0:
+        if not self.credits.has_credit(0):
             return
-        packet = queue.popleft()
-        available[0] -= 1
-        credits._used += 1
+        self.injection_queue.popleft()
+        self.credits.consume(0)
         packet.vc = 0
-        now = self.sim._now
-        packet.inject_time = now
+        packet.inject_time = self.sim.now
         self.bytes_injected += packet.size_bytes
         self.packets_injected += 1
-        stats = self.stats
-        if stats is not None:
-            stats.record_packet_injected(self, packet)
-        message = packet.message
-        if packet.seq == message.num_packets - 1:
-            message.inject_end_time = now
+        if self.stats is not None:
+            self.stats.record_packet_injected(self, packet)
+        if packet.seq == packet.message.num_packets - 1:
+            packet.message.inject_end_time = self.sim.now
         link.transmit(packet)
 
     # ----------------------------------------------------------- callbacks
@@ -125,48 +116,31 @@ class Nic:
         """Terminal link finished serializing the previous packet."""
         self._try_inject()
 
-    # reprolint: hot
     def credit_returned(self, port: int, vc: int) -> None:
         """The router freed a slot in its terminal input buffer."""
-        # CreditTracker.release, inlined: same guard, same mutation.
-        credits = self.credits
-        available = credits._credits
-        if available[vc] >= credits.initial:
-            raise RuntimeError(
-                f"credit overflow on VC {vc}: more credits returned than the "
-                "downstream buffer can hold"
-            )
-        available[vc] += 1
-        credits._used -= 1
+        self.credits.release(vc)
         self._try_inject()
 
     # ------------------------------------------------------------ receiving
-    # reprolint: hot
     def receive_packet(self, port: int, packet: Packet) -> None:
         """A packet reached this node (called by the router-to-NIC link)."""
-        now = self.sim._now
-        packet.eject_time = now
+        packet.eject_time = self.sim.now
         self.bytes_ejected += packet.size_bytes
         self.packets_ejected += 1
-        stats = self.stats
-        if stats is not None:
-            stats.record_packet_ejected(self, packet)
+        if self.stats is not None:
+            self.stats.record_packet_ejected(self, packet)
         # Ejection consumes the packet immediately; free the router's slot.
-        in_link = self.in_link
-        if in_link is not None:
-            in_link.return_credit(packet.vc)
+        if self.in_link is not None:
+            self.in_link.return_credit(packet.vc)
 
         message = packet.message
-        received = message.packets_received + 1
-        message.packets_received = received
-        num_packets = message.num_packets
-        if num_packets > 0 and received >= num_packets:  # Message.complete
-            message.deliver_time = now
-            if stats is not None:
-                stats.record_message_delivered(message)
-            callback = self.on_message_delivered
-            if callback is not None:
-                callback(message)
+        message.packets_received += 1
+        if message.complete:
+            message.deliver_time = self.sim.now
+            if self.stats is not None:
+                self.stats.record_message_delivered(message)
+            if self.on_message_delivered is not None:
+                self.on_message_delivered(message)
 
     # ------------------------------------------------------------------ misc
     @property

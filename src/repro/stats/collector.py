@@ -130,28 +130,17 @@ class StatsCollector:
         return self.window_end_ns is None or time <= self.window_end_ns
 
     # -------------------------------------------------------- network hooks
-    # The per-packet hooks below update the windowed counters and the binned
-    # series in place (the body of BinnedSeries.add, inlined), in the same
-    # order and with the same float expressions as the methods they inline.
-
     # reprolint: hot
     def record_packet_injected(self, nic: "Nic", packet: Packet) -> None:
         """A packet entered the network at ``nic``."""
         self.total_packets_injected += 1
-        now = self.sim._now
-        size_bytes = packet.size_bytes
-        # `windowed` first: unwindowed runs pay one attribute check per packet.
-        if self.windowed and now >= self.warmup_ns:
-            end = self.window_end_ns
-            if end is None or now <= end:
-                self.measured_packets_injected += 1
-                self.measured_bytes_injected += size_bytes
-        series = self._app_series(self.injected_bytes, packet.app_id)
-        idx = int(now // series.bin_width)
-        sums = series._sums
-        sums[idx] = sums.get(idx, 0.0) + size_bytes
-        counts = series._counts
-        counts[idx] = counts.get(idx, 0) + 1
+        now = self.sim.now
+        # `windowed` first: unwindowed runs (the common case, and the hot
+        # path PR 1 optimized) pay one attribute check per packet, no more.
+        if self.windowed and self.in_measurement(now):
+            self.measured_packets_injected += 1
+            self.measured_bytes_injected += packet.size_bytes
+        self._app_series(self.injected_bytes, packet.app_id).add(now, packet.size_bytes)
 
     # reprolint: hot
     def record_packet_ejected(self, nic: "Nic", packet: Packet) -> None:
@@ -160,40 +149,24 @@ class StatsCollector:
         app_id = packet.app_id
         self.total_packets_ejected += 1
         self.total_bytes_ejected += size_bytes
-        now = self.sim._now
-        if self.windowed and now >= self.warmup_ns:
-            end = self.window_end_ns
-            if end is None or now <= end:
-                self.measured_packets_ejected += 1
-                self.measured_bytes_ejected += size_bytes
-        series = self._app_series(self.ejected_bytes, app_id)
-        idx = int(now // series.bin_width)
-        sums = series._sums
-        sums[idx] = sums.get(idx, 0.0) + size_bytes
-        counts = series._counts
-        counts[idx] = counts.get(idx, 0) + 1
-        system = self.system_ejected_bytes
-        system_sums = system._sums
-        system_sums[idx] = system_sums.get(idx, 0.0) + size_bytes
-        system_counts = system._counts
-        system_counts[idx] = system_counts.get(idx, 0) + 1
-        inject_time = packet.inject_time
-        eject_time = packet.eject_time
-        if eject_time is not None and inject_time is not None:
-            latency = self._app_series(self.latency_series, app_id)
-            latency_sums = latency._sums
-            latency_sums[idx] = latency_sums.get(idx, 0.0) + (eject_time - inject_time)
-            latency_counts = latency._counts
-            latency_counts[idx] = latency_counts.get(idx, 0) + 1
-        if self.config.record_packets and inject_time is not None:
+        now = self.sim.now
+        if self.windowed and self.in_measurement(now):
+            self.measured_packets_ejected += 1
+            self.measured_bytes_ejected += size_bytes
+        self._app_series(self.ejected_bytes, app_id).add(now, size_bytes)
+        self.system_ejected_bytes.add(now, size_bytes)
+        latency = packet.latency
+        if latency is not None:
+            self._app_series(self.latency_series, app_id).add(now, latency)
+        if self.config.record_packets and packet.inject_time is not None:
             self.packet_records.append(
                 PacketRecord(
                     app_id=app_id,
                     src_node=packet.src_node,
                     dst_node=packet.dst_node,
                     size_bytes=size_bytes,
-                    inject_time=inject_time,
-                    eject_time=eject_time if eject_time is not None else now,
+                    inject_time=packet.inject_time,
+                    eject_time=packet.eject_time if packet.eject_time is not None else now,
                     hops=packet.hop_count,
                 )
             )
@@ -222,15 +195,9 @@ class StatsCollector:
     # reprolint: hot
     def record_link_traffic(self, link: Link, packet: Packet) -> None:
         """A packet was serialized onto ``link``."""
-        link_id = link.link_id
-        if link_id is None:
+        if link.link_id is None:
             return
-        # LinkTrafficCounter.add, inlined.
-        size_bytes = packet.size_bytes
-        counter = self.link_traffic
-        counter._bytes[link_id] += size_bytes
-        counter._bytes_app[(link_id, packet.app_id)] += size_bytes
-        counter._kind[link_id] = link.kind
+        self.link_traffic.add(link.link_id, link.kind, packet.size_bytes, packet.app_id)
 
     # ------------------------------------------------------------ summaries
     def packet_latencies(self, app_id: Optional[int] = None) -> np.ndarray:

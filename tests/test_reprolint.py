@@ -319,7 +319,6 @@ def test_rule_registry_codes_are_wellformed():
 HOT_FILES = (
     "src/repro/core/engine.py",
     "src/repro/network/link.py",
-    "src/repro/network/nic.py",
     "src/repro/network/router.py",
     "src/repro/routing/qadaptive.py",
     "src/repro/stats/collector.py",
