@@ -16,18 +16,13 @@ from typing import TYPE_CHECKING, Tuple
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import SimulationConfig
 
-__all__ = ["DEFAULT_BACKEND", "active_backend_name", "backend_names", "resolve_backend"]
+__all__ = ["DEFAULT_BACKEND", "active_backend_name", "resolve_backend"]
 
 #: The backend name a config holds when it does not name one.
 DEFAULT_BACKEND = "reference"
 
 #: Every name a stored scenario may carry.
 _BACKEND_NAMES: Tuple[str, ...] = (DEFAULT_BACKEND, "fast")
-
-
-def backend_names() -> Tuple[str, ...]:
-    """Backend names ``SimulationConfig.backend`` accepts."""
-    return _BACKEND_NAMES
 
 
 def resolve_backend(name: str) -> str:
