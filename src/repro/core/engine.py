@@ -228,33 +228,37 @@ class Simulator:
                     self._fired += 1
                     fired_this_run += 1
             else:
+                # Entries are indexed with literals here ([time, seq, callback,
+                # args, kind]): this loop runs once per event.
                 # reprolint: hot
                 while heap and not self._stopped:
-                    entry = heap[0]
-                    time = entry[_TIME]
+                    entry = pop(heap)
+                    time = entry[0]
                     if until is not None and time > until:
+                        # Past the bound: put the entry back (its time and seq
+                        # restore its place) and idle the clock to `until`.
+                        heapq.heappush(heap, entry)
                         self._now = until
                         break
-                    pop(heap)
-                    callback = entry[_CALLBACK]
+                    callback = entry[2]
                     if callback is None:
                         continue
                     self._now = time
-                    callback(*entry[_ARGS])
+                    callback(*entry[3])
                     self._fired += 1
                     # Batch: every event already scheduled at this timestamp
                     # fires here.  None can be past `until` (the first was
                     # not), so the clock store and cutoff check are skipped.
-                    while heap and heap[0][_TIME] == time:
+                    while heap and heap[0][0] == time:
                         # Callbacks flip this flag, so it must be re-read
                         # before every event — a hoisted local would go stale.
                         if self._stopped:
                             break
                         entry = pop(heap)
-                        callback = entry[_CALLBACK]
+                        callback = entry[2]
                         if callback is None:
                             continue
-                        callback(*entry[_ARGS])
+                        callback(*entry[3])
                         self._fired += 1
             if (
                 until is not None

@@ -52,7 +52,10 @@ def _on_tiny(scenario: Scenario) -> Scenario:
 
 
 def _random_scenarios(algorithm: str, count: int = 2) -> Iterator[Scenario]:
-    """Seeded random tiny-system scenarios (deterministic per algorithm)."""
+    """Seeded random tiny-system scenarios (deterministic per algorithm).
+
+    The seed string is historical; changing it changes every randomized cell.
+    """
     rng = random.Random(f"backend-equivalence/{algorithm}")
     for index in range(count):
         app = rng.choice(_APPS)

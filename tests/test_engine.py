@@ -196,3 +196,16 @@ def test_stop_takes_effect_before_the_next_same_time_event():
     assert fired == ["a"]
     sim.run()
     assert fired == ["a", "b"]
+
+
+def test_cancelled_event_past_until_is_left_pending():
+    """A cancelled entry past ``until`` bounds the run like a live one: it
+    stays in the calendar and the run counts as cut, not drained."""
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, fired.append, "a")
+    sim.schedule(50.0, fired.append, "late").cancel()
+    assert sim.run(until=10.0) == 10.0
+    assert fired == ["a"]
+    assert sim.pending_events == 1
+    assert sim.last_event_time == 10.0
