@@ -1,11 +1,11 @@
 """Regression tests for the benchmark-suite session plumbing.
 
-The benchmark conftest memoizes runs by scenario hash — but the scenario
-hash deliberately ignores the default backend (hash neutrality) and never
-sees the ``REPRO_BACKEND`` override.  These tests pin the fix: the memo key
-must include the *resolved* backend, so the backend-comparison driver's
-reference and fast executions both actually happen instead of the second
-one silently returning the first's memoized result.
+The benchmark conftest memoizes runs by scenario hash and writes a
+machine-readable session summary.  These tests load a private copy of it
+against a temporary store and pin both: a repeated scenario is run once, a
+scenario whose stored config still names the retired ``"fast"`` backend is
+its own memo entry (its hash differs) yet runs the one core, and the
+summary carries the per-driver times and fidelity rows it was given.
 """
 
 from __future__ import annotations
@@ -14,12 +14,9 @@ import importlib.util
 import json
 from pathlib import Path
 
-import pytest
-
-from repro.backends import ENV_BACKEND
 from repro.config import SimulationConfig, tiny_system
 from repro.experiments.configs import AppSpec
-from repro.experiments.scenario import Scenario
+from repro.experiments.scenario import Scenario, scenario_hash
 from repro.results import flatten_run
 
 _BENCH_CONFTEST = Path(__file__).resolve().parent.parent / "benchmarks" / "conftest.py"
@@ -46,55 +43,42 @@ def _tiny_bench_scenario() -> Scenario:
     )
 
 
-def test_run_scenario_memo_is_keyed_by_resolved_backend(tmp_path, monkeypatch):
+def test_run_scenario_memo_runs_each_scenario_once(tmp_path, monkeypatch):
     bench = _load_bench_conftest(tmp_path, monkeypatch)
     scenario = _tiny_bench_scenario()
-
-    monkeypatch.delenv(ENV_BACKEND, raising=False)
-    reference = bench.run_scenario(scenario)
-    assert bench.run_scenario(scenario) is reference  # same backend: memo hit
-
-    monkeypatch.setenv(ENV_BACKEND, "fast")
-    fast = bench.run_scenario(scenario)
-    assert fast is not reference, (
-        "the env-selected fast run was conflated with the memoized reference "
-        "run — the memo key must include the resolved backend"
-    )
-    assert len(bench._RUNS) == 2
-    assert {key.split(":", 1)[0] for key in bench._RUNS} == {"reference", "fast"}
-    # Both executions really ran, and (the backend contract) agree exactly.
-    assert flatten_run(fast) == flatten_run(reference)
+    first = bench.run_scenario(scenario)
+    assert bench.run_scenario(_tiny_bench_scenario()) is first
+    assert list(bench._RUNS) == [scenario_hash(scenario)]
+    stored = bench.bench_store().get(scenario)
+    assert stored is not None and stored.name == scenario.name
 
 
-def test_explicit_config_backend_also_splits_the_memo(tmp_path, monkeypatch):
-    """A non-default ``config.backend`` changes the scenario hash itself, so
-    the memo naturally splits; pin that the resolved-backend prefix agrees."""
+def test_stored_fast_backend_scenario_is_its_own_memo_entry(tmp_path, monkeypatch):
+    """A config still naming ``backend="fast"`` hashes differently, so the
+    memo keeps it apart — and its run is the default run, value for value."""
     bench = _load_bench_conftest(tmp_path, monkeypatch)
-    monkeypatch.delenv(ENV_BACKEND, raising=False)
     scenario = _tiny_bench_scenario()
     pinned = Scenario(
         name=scenario.name,
         jobs=scenario.jobs,
         config=scenario.config.with_backend("fast"),
     )
-    bench.run_scenario(scenario)
-    bench.run_scenario(pinned)
-    assert sorted(key.split(":", 1)[0] for key in bench._RUNS) == ["fast", "reference"]
+    default = bench.run_scenario(scenario)
+    fast = bench.run_scenario(pinned)
+    assert fast is not default
+    assert len(bench._RUNS) == 2
+    assert flatten_run(fast) == flatten_run(default)
 
 
-def test_backend_comparison_rows_land_in_bench_summary(tmp_path, monkeypatch):
+def test_driver_times_and_fidelity_rows_land_in_bench_summary(tmp_path, monkeypatch):
     bench = _load_bench_conftest(tmp_path, monkeypatch)
     summary_path = tmp_path / "BENCH.json"
     bench._SUMMARY_PATH = str(summary_path)
-    bench._DRIVER_TIMES["test_backend_comparison"] = {
-        "tests": 1, "passed": 1, "wall_seconds": 1.0,
-    }
-    bench.record_backend_comparison(
-        "loadcurve/shift@0.7",
-        {"reference_wall_seconds": 2.0, "fast_wall_seconds": 1.0,
-         "speedup": 2.0, "match": True},
-    )
+    bench._DRIVER_TIMES["test_table1"] = {"tests": 2, "passed": 2, "wall_seconds": 1.5}
+    bench.record_fidelity_comparison("shift@0.5", {"packet_wall_seconds": 2.0, "match": True})
     bench.pytest_sessionfinish(session=None, exitstatus=0)
     summary = json.loads(summary_path.read_text())
-    row = summary["backend_comparison"]["loadcurve/shift@0.7"]
-    assert row["speedup"] == 2.0 and row["match"] is True
+    assert summary["drivers"]["test_table1"] == {"tests": 2, "passed": 2, "wall_seconds": 1.5}
+    assert summary["total_wall_seconds"] == 1.5
+    assert summary["fidelity_comparison"]["shift@0.5"]["match"] is True
+    assert "backend_comparison" not in summary

@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import random
 
 import pytest
 
@@ -209,3 +210,95 @@ def test_cancelled_event_past_until_is_left_pending():
     assert fired == ["a"]
     assert sim.pending_events == 1
     assert sim.last_event_time == 10.0
+
+
+def test_cancelled_event_inside_a_same_time_batch_is_skipped():
+    sim = Simulator()
+    fired = []
+    handles = {}
+
+    def first():
+        fired.append("a")
+        handles["b"].cancel()
+
+    sim.schedule(5.0, first)
+    handles["b"] = sim.schedule(5.0, fired.append, "b")
+    sim.schedule(5.0, fired.append, "c")
+    sim.run()
+    assert fired == ["a", "c"]
+    assert sim.events_fired == 2
+
+
+def test_every_event_exactly_at_until_fires():
+    sim = Simulator()
+    fired = []
+    for label in range(3):
+        sim.schedule(10.0, fired.append, label)
+    sim.schedule(10.5, fired.append, "late")
+    assert sim.run(until=10.0) == 10.0
+    assert fired == [0, 1, 2]
+    assert sim.pending_events == 1
+    assert sim.last_event_time == 10.0
+
+
+def test_step_and_run_share_one_calendar_order():
+    sim = Simulator()
+    fired = []
+    for label, delay in enumerate([3.0, 1.0, 1.0, 2.0]):
+        sim.schedule(delay, fired.append, label)
+    assert sim.step() is True
+    assert fired == [1] and sim.now == 1.0
+    sim.run()
+    assert fired == [1, 2, 3, 0]
+    assert sim.step() is False
+    assert sim.events_fired == 4
+
+
+def _scripted_run(seed, mode):
+    """Drive a random self-extending calendar through one run loop.
+
+    Every callback derives its actions (children at zero or positive delay,
+    cancelling a pending event, stopping the run) from its own label, so the
+    script is identical whichever loop fires it.  ``mode`` picks the loop:
+    ``batched`` (the default), ``traced`` or ``bounded`` (``max_events``) —
+    the last two take the diagnostic loop.
+    """
+    sim = Simulator(trace=(mode == "traced"))
+    fired = []
+    handles = {}
+
+    def make(label):
+        def callback():
+            fired.append((sim.now, label))
+            rng = random.Random(f"{seed}:{label}")
+            if label.count(".") < 5:
+                for child in range(rng.choice([0, 0, 1, 2, 3])):
+                    name = f"{label}.{child}"
+                    delay = rng.choice([0.0, 0.0, 1.0, 2.5, 5.0])
+                    handles[name] = sim.schedule(delay, make(name))
+            if rng.random() < 0.1 and handles:
+                handles[rng.choice(sorted(handles))].cancel()
+            if rng.random() < 0.05:
+                sim.stop()
+
+        return callback
+
+    rng = random.Random(seed)
+    for root in range(12):
+        sim.schedule(float(rng.randint(0, 6)), make(str(root)))
+    kwargs = {"max_events": 10**9} if mode == "bounded" else {}
+    stops = [sim.run(until=4.0, **kwargs)]
+    while sim.pending_events:
+        stops.append(sim.run(**kwargs))
+    return fired, stops, sim.events_fired, sim.now, sim.last_event_time
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batched_and_diagnostic_loops_fire_identically(seed):
+    """The batched same-timestamp loop and the plain diagnostic loop of
+    ``Simulator.run`` fire the same events in the same ``(time, seq)`` order,
+    stop at the same points and leave the same clock."""
+    batched = _scripted_run(seed, "batched")
+    assert len(batched[0]) > 12
+    assert _scripted_run(seed, "traced") == batched
+    assert _scripted_run(seed, "bounded") == batched

@@ -50,8 +50,8 @@ WORKLOAD_POOL = [
 ]
 
 #: Scenarios per routing algorithm.  Keep small: each cell builds and runs a
-#: full (tiny) simulator stack.
-SCENARIOS_PER_ALGORITHM = 3
+#: full (tiny) simulator stack (~0.2 s).
+SCENARIOS_PER_ALGORITHM = 5
 
 
 def _random_jobs(rng: random.Random):

@@ -315,6 +315,16 @@ def test_rule_registry_codes_are_wellformed():
     assert {"REP1", "REP2", "REP3", "REP4", "REP6"} <= families
 
 
+def test_parity_rules_are_retired():
+    """The simulator has one hot core, so the REP5xx reference/fast parity
+    family is gone: no rule is registered under it, no committed baseline
+    entry carries it and no manifest is shipped for it."""
+    assert not [code for code in all_rules() if code.startswith("REP5")]
+    baseline = json.loads((ROOT / ".reprolint-baseline.json").read_text())
+    assert not [f for f in baseline["findings"] if str(f.get("code", "")).startswith("REP5")]
+    assert not (ROOT / "tools" / "reprolint" / "parity_manifest.json").exists()
+
+
 # -------------------------------------------------------------- self-check
 HOT_FILES = (
     "src/repro/core/engine.py",

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.config import RoutingConfig, SimulationConfig, SystemConfig, tiny_system
+from repro.config import (
+    RoutingConfig,
+    SimulationConfig,
+    SystemConfig,
+    paper_system,
+    small_system,
+    tiny_system,
+)
 from repro.core.engine import Simulator
 from repro.network.network import DragonflyNetwork
 from repro.network.packet import Message, PathClass
@@ -203,12 +210,16 @@ def _neighbor_formula(network, router_id, port, dest):
     return hop + remaining + system.terminal_latency_ns
 
 
-@pytest.mark.parametrize("system", ["tiny", "toy"])
+@pytest.mark.parametrize("system", ["tiny", "toy", "small", "paper"])
 def test_qtable_initial_estimates_match_neighbor_formula(system):
     if system == "tiny":
         network = _network("q-adaptive")
-    else:
+    elif system == "toy":
         _, network = _toy_qadaptive_network()
+    else:
+        shape = small_system() if system == "small" else paper_system()
+        config = SimulationConfig(system=shape, seed=1).with_routing("q-adaptive")
+        network = DragonflyNetwork(Simulator(), config)
     routing = network.routing
     topo = network.topology
     for router in network.routers:
@@ -239,6 +250,27 @@ def test_qtable_counts_only_touched_entries():
     assert set(snapshot) == {(a, ("g", 2)), (b, ("g", 2)), (c, ("r", 1))}
     assert snapshot[(a, ("g", 2))] == 0.5 * first + 0.5 * 100.0
     assert table.updates == 2
+
+
+def test_qtable_destination_keys_are_interned():
+    """Every row a run materializes is keyed by the routing's one shared
+    ``("g", g)``/``("r", r)`` tuple, not a per-packet copy."""
+    from repro.experiments.configs import AppSpec
+    from repro.experiments.scenario import Scenario
+
+    scenario = Scenario(
+        name="qtable/interned",
+        jobs=(AppSpec("UR", 12, {}),),
+        config=SimulationConfig(system=tiny_system(), seed=5).with_routing("q-adaptive"),
+    )
+    routing = scenario.run().network.routing
+    interned = {id(key) for key in routing._group_keys + routing._router_keys}
+    touched = 0
+    for router in routing.network.routers:
+        for dest in routing.table_for(router)._rows:
+            assert id(dest) in interned, (router.router_id, dest)
+            touched += 1
+    assert touched > 0 and routing.feedback_count > 0
 
 
 def test_qadaptive_estimate_is_min_over_all_viable_ports():

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.analysis.pairwise import pairwise_study
+from repro.backends import active_backend_name
 from repro.cli import build_parser, main
 from repro.config import RoutingConfig, SimulationConfig, tiny_system
 from repro.experiments.configs import AppSpec
@@ -252,6 +253,24 @@ def test_unknown_backend_rejected_at_construction():
     # Names canonicalize, so serialized forms are always the canonical spelling.
     assert SimulationConfig(system=tiny_system(), backend=" FAST ").backend == "fast"
     assert SimulationConfig(system=tiny_system(), backend="Reference").backend == "reference"
+
+
+def test_active_backend_is_always_the_one_core():
+    config = SimulationConfig(system=tiny_system())
+    assert active_backend_name(config) == "reference"
+    assert active_backend_name(config.with_backend("fast")) == "reference"
+
+
+def test_backend_environment_variable_selects_nothing(monkeypatch):
+    """The retired ``REPRO_BACKEND`` override is not read: a run under it is
+    the default run, and the scenario hash is unchanged."""
+    scenario = _tiny_scenario()
+    expected_hash = scenario_hash(scenario)
+    expected = flatten_run(scenario.run())
+    monkeypatch.setenv("REPRO_BACKEND", "fast")
+    assert active_backend_name(scenario.config) == "reference"
+    assert scenario_hash(scenario) == expected_hash
+    assert flatten_run(scenario.run()) == expected
 
 
 def test_stored_fast_backend_scenario_runs_the_one_core():
