@@ -33,6 +33,51 @@ def _tiny_grid():
 
 
 # ------------------------------------------------------------------ grid/hash
+#: Scenario hashes of the ``sweep --workloads`` grid below, in grid order
+#: (workload x routing x placement x seed).  Every stored ``--workloads``
+#: cell is keyed by one of these forms, so a change to how the CLI builds
+#: the grid must leave them unchanged or existing stores stop hitting.
+PINNED_WORKLOAD_GRID_HASHES = {
+    "tiny": [
+        "7bebf35f60e7f64228eaea09", "929ba52516694fb548b6c0c6",
+        "faa71f0a8d46a19b255eba79", "3f81c496106178d8118cac8e",
+        "bfda5bfa7490607b4a3238d1", "db3ff0fff05cfd32fb044533",
+        "28a4945315a11481f6c91f64", "4b9efe75f6a2d803b338f6e5",
+        "8114fb882c3cd78aea016287", "4ba4915368dcdf83d03e5dda",
+        "79a98745f2817355a5808057", "da8eb0790e1c2314120e7a0f",
+        "5eb383b67fe5322e4da99f30", "4337857c671773e92b971146",
+        "6aeddd0b5eaef96c7ea76ef1", "99690ad298929301be08c024",
+    ],
+    "small": [
+        "d3ab2b3db68d36b8cb0ca929", "3537e30a453b74a59532bd99",
+        "0a83a3a12177f80cfbda048b", "da4e147f4495e1333d7505cf",
+        "ca1275879fe3d3d8ab6cbee7", "1536ae79a3600e9e66ddc192",
+        "b500579667fb11dbf495b15a", "1769e4900b50ca127d44b54d",
+        "e32bcb34a3ff8b20b048f514", "2bf438ec81b8b1ad3047e440",
+        "540a9a69c80ad2e5f357c63d", "573e7b8eaa4ae1d2b423b16e",
+        "320ee7a6d7a523c7f275c63d", "dbc331ab13f1ba4a834c990b",
+        "520ddac2efd66bd30888b55b", "f32aa412fa4374df2809eef4",
+    ],
+}
+
+
+@pytest.mark.parametrize("system", sorted(PINNED_WORKLOAD_GRID_HASHES))
+def test_cli_workloads_grid_hashes_are_pinned(system, tmp_path, capsys):
+    from repro.cli import main
+    from repro.experiments.scenario import load_scenarios, scenario_hash
+
+    path = tmp_path / "grid.json"
+    assert main(
+        ["sweep", "--workloads", "UR", "ml.ring_allreduce",
+         "--routings", "par", "ugal", "--placements", "random", "Contiguous",
+         "--seeds", "1", "2", "--system", system, "--dump-scenario", str(path)]
+    ) == 0
+    capsys.readouterr()
+    grid = load_scenarios(path)
+    assert [scenario_hash(cell) for cell in grid] == PINNED_WORKLOAD_GRID_HASHES[system]
+    assert [cell.name for cell in grid] == ["sweep/UR"] * 8 + ["sweep/ml.ring_allreduce"] * 8
+
+
 def test_build_grid_is_full_cartesian_product():
     grid = build_grid(
         workloads=["UR", "LU"],
