@@ -31,6 +31,7 @@ invocation as a reusable scenario JSON file instead of simulating.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sqlite3
 import sys
@@ -197,15 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: all cores)",
     )
     sweep.add_argument(
-        "--store", default=None, metavar="PATH",
+        "--store", default=str(DEFAULT_STORE_PATH), metavar="PATH",
         help=f"SQLite result store used as the sweep cache (default "
              f"{DEFAULT_STORE_PATH}; '' disables caching; see docs/results.md)",
-    )
-    sweep.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="deprecated: legacy JSON cache directory; its entries are "
-             "imported into the store (DIR/results.sqlite unless --store "
-             "names another path)",
     )
 
     run = sub.add_parser(
@@ -425,8 +420,57 @@ def _run_mixed(args: argparse.Namespace) -> int:
     return 0
 
 
+def _workload_grid(
+    workloads: List[str],
+    routings: List[str],
+    placements: List[str],
+    seeds: List[int],
+    scale: float,
+    system: str,
+) -> List[Scenario]:
+    """Standalone ``sweep/<App>`` cells of a ``sweep --workloads`` grid.
+
+    One base scenario per workload on the bench-bandwidth ``system`` shape,
+    expanded over routing x placement x seed in that order.  Cells keep the
+    base name (no grid suffix), so each one hashes exactly as it always has
+    and existing stores keep their hits.  Every cell is validated here, before
+    anything simulates.
+    """
+    from repro.config import SimulationConfig, paper_system, small_system, tiny_system
+    from repro.experiments.configs import (
+        BENCH_LINK_BANDWIDTH_GBPS,
+        BENCH_RANKS,
+        ML_RANKS,
+        bench_spec,
+        ml_spec,
+    )
+
+    shapes = {"tiny": tiny_system, "small": small_system, "paper": paper_system}
+    config = SimulationConfig(
+        system=shapes[system]().scaled(link_bandwidth_gbps=BENCH_LINK_BANDWIDTH_GBPS),
+        record_packets=True,
+    )
+    grid = []
+    for workload in workloads:
+        if workload in ML_RANKS:
+            spec = ml_spec(workload, scale=scale)
+        elif workload in BENCH_RANKS:
+            spec = bench_spec(workload, scale=scale)
+        else:
+            raise ValueError(
+                f"unknown application {workload!r}; choose from "
+                f"{sorted(BENCH_RANKS) + sorted(ML_RANKS)}"
+            )
+        base = Scenario(name=f"sweep/{workload}", jobs=(spec,), config=config)
+        grid.extend(
+            base.with_updates(routing=routing, placement=placement, seed=seed)
+            for routing, placement, seed in itertools.product(routings, placements, seeds)
+        )
+    return grid
+
+
 def _run_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.sweep import SweepError, SweepResult, build_grid, run_sweep
+    from repro.experiments.sweep import SweepError, SweepResult, run_sweep
 
     if args.seeds is not None:
         seeds = args.seeds
@@ -450,8 +494,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
             start_times=args.start_times, offered_loads=args.offered_loads,
             fidelities=args.fidelities,
         )
-        columns = ["scenario", "jobs", "routing", "placement", "seed",
-                   "makespan_ns", "mean_comm_time_ns", "total_port_stall_ns", "cached"]
     else:
         steady_flags = [
             flag
@@ -473,7 +515,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        grid = build_grid(
+        grid = _workload_grid(
             workloads=args.workloads,
             routings=args.routings if args.routings is not None else list(ROUTINGS),
             placements=args.placements if args.placements is not None else ["random"],
@@ -481,47 +523,33 @@ def _run_sweep(args: argparse.Namespace) -> int:
             scale=_scale(args),
             system=args.system,
         )
-        columns = ["workload", "routing", "placement", "seed",
-                   "makespan_ns", "mean_comm_time_ns", "total_port_stall_ns", "cached"]
+    columns = ["scenario", "jobs", "routing", "placement", "seed",
+               "makespan_ns", "mean_comm_time_ns", "total_port_stall_ns", "cached"]
 
     dump = _dump_path(args)
     if dump:
-        scenarios = [cell if isinstance(cell, Scenario) else cell.to_scenario() for cell in grid]
-        return _dump_and_report(dump, scenarios)
+        return _dump_and_report(dump, grid)
 
     def progress(done: int, total: int, result: SweepResult) -> None:
         origin = "cache" if result.cached else f"{result.wall_seconds:.1f}s"
-        if result.point is not None:
-            what = (f"{result.point.workload} {result.point.routing} "
-                    f"{result.point.placement} seed={result.point.seed}")
-        else:
-            what = result.scenario.name
-        print(f"[{done}/{total}] {what} ({origin})", file=sys.stderr)
+        scenario = result.scenario
+        print(
+            f"[{done}/{total}] {scenario.name} {scenario.config.routing.algorithm} "
+            f"{scenario.placement} seed={scenario.config.seed} ({origin})",
+            file=sys.stderr,
+        )
 
-    # --store '' (or the legacy --cache-dir '' idiom) disables caching
-    # outright; an unset --store falls back to the default store unless a
-    # (deprecated) --cache-dir names the legacy location, in which case the
-    # store lives inside that directory.  An explicit --store always wins;
-    # --cache-dir then only marks the legacy JSON entries to import.
-    store = args.store
-    cache_dir = args.cache_dir or None
-    if store == "" or (args.cache_dir == "" and store is None):
-        store, cache_dir = None, None
-    elif store is None and cache_dir is None:
-        store = str(DEFAULT_STORE_PATH)
     try:
         results = run_sweep(
             grid,
             workers=args.workers,
-            store=store,
-            cache_dir=cache_dir,
+            store=args.store or None,
             progress=progress,
             fail_fast=args.fail_fast,
         )
     except sqlite3.DatabaseError as exc:
-        broken = store if store is not None else str(Path(cache_dir) / "results.sqlite")
         print(
-            f"error: result store {broken!r} is unreadable ({exc}); delete the "
+            f"error: result store {args.store!r} is unreadable ({exc}); delete the "
             "file to start a fresh cache, or pass --store '' to sweep uncached",
             file=sys.stderr,
         )
@@ -595,7 +623,7 @@ def _run_run(args: argparse.Namespace) -> int:
             store.close()
     if args.store:
         already = len(scenarios) - recorded
-        note = f" ({already} already stored; any missing metrics were backfilled)" if already else ""
+        note = f" ({already} already stored; kept as recorded)" if already else ""
         print(f"recorded {recorded} new run(s) into {args.store}{note}", file=sys.stderr)
     print(format_table(rows))
     return 0
@@ -675,7 +703,7 @@ def _run_trace_replay(args: argparse.Namespace) -> int:
         except sqlite3.DatabaseError as exc:
             print(f"error: {args.store!r} is not a writable result store: {exc}", file=sys.stderr)
             return 2
-        note = "" if recorded else " (already stored; any missing metrics were backfilled)"
+        note = "" if recorded else " (already stored; kept as recorded)"
         print(f"recorded {scenario.name} into {args.store}{note}", file=sys.stderr)
     record = result.record("trace")
     print(

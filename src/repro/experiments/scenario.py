@@ -78,7 +78,7 @@ __all__ = [
 #: Cache-format version.  Bump whenever simulator changes alter numeric
 #: results or the canonical serialization changes, which orphans (rather
 #: than corrupts) old sweep-cache entries.  Version 2 switched the cache key
-#: from ``SweepPoint`` hashes to canonical ``Scenario`` hashes.
+#: to canonical ``Scenario`` hashes.
 CACHE_VERSION = 2
 
 #: SimulationConfig fields that belong to the scenario's ``"sim"`` section

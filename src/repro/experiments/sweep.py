@@ -22,13 +22,8 @@ Design notes:
   (or the serialization itself) changes;
 * all store reads/writes happen in the parent process (workers only
   simulate), so one sweep needs no cross-process write coordination;
-* the legacy per-file JSON cache (``<hash>.json`` in ``cache_dir``) is
-  still accepted: its entries are imported into a store file inside that
-  directory once, then the store serves every subsequent lookup.
-
-:class:`SweepPoint` — the original single-workload grid cell — is kept as a
-**deprecated shim** that converts to a single-job scenario via
-``to_scenario()``; ``run_sweep`` accepts mixed lists of points and scenarios.
+* the store is the only cache: a stored run is never rewritten, and
+  pre-store ``<hash>.json`` cache files are not read.
 
 Used by the ``dragonfly-sim sweep`` CLI subcommand and
 ``examples/sweep_grid.py``; see docs/sweep.md and docs/results.md.
@@ -36,122 +31,23 @@ Used by the ``dragonfly-sim sweep`` CLI subcommand and
 
 from __future__ import annotations
 
-import itertools
 import os
 import traceback as traceback_module
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from multiprocessing import Pool
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.config import SimulationConfig, paper_system, small_system, tiny_system
-from repro.experiments.scenario import CACHE_VERSION, Scenario, expand_grid, scenario_hash
+from repro.experiments.scenario import CACHE_VERSION, Scenario, expand_grid
 from repro.results import ResultStore, flatten_run
 
 __all__ = [
     "CACHE_VERSION",
     "SweepError",
-    "SweepPoint",
     "SweepResult",
-    "build_grid",
     "expand_grid",
-    "point_hash",
     "run_sweep",
 ]
-
-_SYSTEMS = {
-    "tiny": tiny_system,
-    "small": small_system,
-    "paper": paper_system,
-}
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One cell of a single-workload sweep grid.
-
-    .. deprecated::
-        ``SweepPoint`` predates the declarative scenario API and can only
-        describe standalone runs.  It is kept as a shim — ``to_scenario()``
-        converts it to the equivalent single-job
-        :class:`~repro.experiments.scenario.Scenario`, which is what
-        ``run_sweep`` actually executes and caches.  New code should build
-        scenarios (see :func:`repro.experiments.scenario.expand_grid`).
-
-    ``workload`` accepts the Table I applications (``BENCH_RANKS``) and the
-    ML-collective patterns (``ML_RANKS``, e.g. ``ml.ring_allreduce``); trace
-    replays have no grid-cell shim — sweep them as scenarios.
-    """
-
-    workload: str
-    routing: str = "par"
-    placement: str = "random"
-    seed: int = 1
-    scale: float = 1.0
-    ranks: Optional[int] = None
-    #: System shape name: "tiny" (36 nodes), "small" (72), "paper" (1,056).
-    system: str = "small"
-    #: Link bandwidth override in Gb/s (None = the bench default).
-    link_bandwidth_gbps: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        # Validate every axis up front: a bad point must fail at grid-build
-        # time, not as a pickled traceback out of a mid-sweep worker.
-        if self.system not in _SYSTEMS:
-            raise ValueError(
-                f"unknown system {self.system!r}; choose from {sorted(_SYSTEMS)}"
-            )
-        from repro.experiments.configs import BENCH_RANKS, ML_RANKS
-        from repro.placement import PLACEMENTS
-        from repro.routing import resolve_algorithm
-
-        if self.workload not in BENCH_RANKS and self.workload not in ML_RANKS:
-            raise ValueError(
-                f"unknown application {self.workload!r}; choose from "
-                f"{sorted(BENCH_RANKS) + sorted(ML_RANKS)}"
-            )
-        # Canonicalize aliases ("ugal" -> "ugal-g") so equivalent points share
-        # one cache entry; the frozen dataclass requires object.__setattr__.
-        object.__setattr__(self, "routing", resolve_algorithm(self.routing))
-        placement = self.placement.strip().lower()
-        if placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement policy {self.placement!r}; choose from {list(PLACEMENTS)}"
-            )
-        object.__setattr__(self, "placement", placement)
-
-    def as_dict(self) -> dict:
-        """Plain-dict form (report rows)."""
-        return asdict(self)
-
-    def to_scenario(self) -> Scenario:
-        """The single-job scenario this point describes (the executable form)."""
-        from repro.experiments.configs import (
-            BENCH_LINK_BANDWIDTH_GBPS,
-            ML_RANKS,
-            bench_spec,
-            ml_spec,
-        )
-
-        bandwidth = (
-            self.link_bandwidth_gbps
-            if self.link_bandwidth_gbps is not None
-            else BENCH_LINK_BANDWIDTH_GBPS
-        )
-        system = _SYSTEMS[self.system]().scaled(link_bandwidth_gbps=bandwidth)
-        config = SimulationConfig(
-            system=system, seed=self.seed, record_packets=True
-        ).with_routing(self.routing)
-        if self.workload in ML_RANKS:
-            spec = ml_spec(self.workload, num_ranks=self.ranks, scale=self.scale)
-        else:
-            spec = bench_spec(self.workload, num_ranks=self.ranks, scale=self.scale)
-        return Scenario(
-            name=f"sweep/{self.workload}",
-            jobs=(spec,),
-            config=config,
-            placement=self.placement,
-        )
 
 
 @dataclass
@@ -161,8 +57,6 @@ class SweepResult:
     ``metrics`` holds only simulation-determined values — two runs of the
     same scenario produce identical ``metrics`` regardless of worker count —
     while ``wall_seconds`` and ``cached`` describe this particular execution.
-    ``point`` is set when the cell was given as a (deprecated)
-    :class:`SweepPoint` so its report rows keep the original columns.
 
     A cell whose simulation raised is returned as a *failed* result:
     ``error`` holds the one-line ``ExcType: message`` form, ``traceback`` the
@@ -174,7 +68,6 @@ class SweepResult:
     wall_seconds: float
     cached: bool = False
     scenario: Optional[Scenario] = None
-    point: Optional[SweepPoint] = None
     error: Optional[str] = None
     traceback: Optional[str] = None
 
@@ -185,21 +78,14 @@ class SweepResult:
 
     def as_row(self) -> dict:
         """Flat dict row for tabular reports."""
-        if self.point is not None:
-            row = self.point.as_dict()
-            if row.get("link_bandwidth_gbps") is None:
-                # Drop the column only when it carries no information; a grid
-                # that sweeps bandwidth needs it to tell its rows apart.
-                row.pop("link_bandwidth_gbps", None)
-        else:
-            scenario = self.scenario
-            row = {
-                "scenario": scenario.name,
-                "jobs": "+".join(spec.name for spec in scenario.jobs),
-                "routing": scenario.config.routing.algorithm,
-                "placement": scenario.placement,
-                "seed": scenario.config.seed,
-            }
+        scenario = self.scenario
+        row = {
+            "scenario": scenario.name,
+            "jobs": "+".join(spec.name for spec in scenario.jobs),
+            "routing": scenario.config.routing.algorithm,
+            "placement": scenario.placement,
+            "seed": scenario.config.seed,
+        }
         row.update(self.metrics)
         row["cached"] = self.cached
         if self.failed:
@@ -232,41 +118,6 @@ def _failure_summary(failures: Sequence["SweepResult"], total: int) -> str:
     return "\n".join(lines)
 
 
-def point_hash(point: Union[SweepPoint, Scenario]) -> str:
-    """Stable cache key of one sweep cell.
-
-    Equals :func:`~repro.experiments.scenario.scenario_hash` of the cell's
-    scenario form, so a :class:`SweepPoint` and the :class:`Scenario` it
-    converts to share one cache entry.
-    """
-    scenario = point.to_scenario() if isinstance(point, SweepPoint) else point
-    return scenario_hash(scenario)
-
-
-def build_grid(
-    workloads: Sequence[str],
-    routings: Sequence[str],
-    placements: Sequence[str] = ("random",),
-    seeds: Sequence[int] = (1,),
-    **common: Any,
-) -> List[SweepPoint]:
-    """Cartesian product of the axes as a list of :class:`SweepPoint`.
-
-    ``common`` keyword arguments (``scale``, ``system``, ``ranks``…) are
-    applied to every point.  (Single-workload grids only; use
-    :func:`repro.experiments.scenario.expand_grid` to sweep arbitrary
-    scenarios, including pairwise and mixed co-runs.)
-    """
-    return [
-        SweepPoint(
-            workload=workload, routing=routing, placement=placement, seed=seed, **common
-        )
-        for workload, routing, placement, seed in itertools.product(
-            workloads, routings, placements, seeds
-        )
-    ]
-
-
 # ---------------------------------------------------------------- execution
 # reprolint: boundary
 def _run_scenario(scenario: Scenario) -> SweepResult:
@@ -295,41 +146,23 @@ def _run_scenario(scenario: Scenario) -> SweepResult:
 
 
 def _open_store(
-    store: Optional[Union[ResultStore, str, Path]], cache_dir: Optional[str]
+    store: Optional[Union[ResultStore, str, Path]],
 ) -> Tuple[Optional[ResultStore], bool]:
-    """Resolve the ``(store, owned)`` pair behind run_sweep's caching arguments.
+    """Resolve run_sweep's ``store`` argument to a ``(store, owned)`` pair.
 
-    A path (or a legacy ``cache_dir``) opens a store owned by this call.
-    Legacy ``<hash>.json`` entries are imported once (so pre-store caches
-    keep their hits) from an explicit ``cache_dir``, or implicitly from the
-    store file's own directory when that is the conventional legacy cache
-    location (``.sweep-cache``, where the default store lives) — arbitrary
-    store locations never trigger a directory scan.
+    ``None`` disables caching, an open store is used as is, and a path opens
+    a store owned (and closed) by this call.
     """
-    if store is None and cache_dir is None:
-        return None, False
-    if isinstance(store, ResultStore):
-        if cache_dir is not None:
-            store.import_json_cache(cache_dir)
+    if store is None or isinstance(store, ResultStore):
         return store, False
-    if store is not None:
-        path = Path(store)
-    else:
-        path = Path(cache_dir) / "results.sqlite"
-    opened = ResultStore(path)
-    if cache_dir is not None:
-        opened.import_json_cache(cache_dir)
-    elif path.parent.name == ".sweep-cache":
-        opened.import_json_cache(path.parent)
-    return opened, True
+    return ResultStore(Path(store)), True
 
 
 def run_sweep(
-    points: Iterable[Union[SweepPoint, Scenario]],
+    points: Iterable[Scenario],
     workers: int = 1,
     *,
     store: Optional[Union[ResultStore, str, Path]] = None,
-    cache_dir: Optional[str] = None,
     progress: Optional[Callable[[int, int, SweepResult], None]] = None,
     fail_fast: bool = False,
 ) -> List[SweepResult]:
@@ -338,20 +171,15 @@ def run_sweep(
     Parameters
     ----------
     points:
-        The grid — :class:`Scenario` objects (see
-        :func:`repro.experiments.scenario.expand_grid`) and/or deprecated
-        :class:`SweepPoint` cells.  Results come back in input order.
+        The grid of :class:`Scenario` cells (see
+        :func:`repro.experiments.scenario.expand_grid`).  Results come back
+        in input order.
     workers:
         Worker processes for the uncached cells.  ``1`` runs everything in
         this process (bit-identical to the parallel path — see module notes).
     store:
         Result cache: an open :class:`~repro.results.ResultStore` or a path
-        to one (created on demand).  ``None`` (with no ``cache_dir``)
-        disables caching.
-    cache_dir:
-        .. deprecated:: use ``store``.  Directory of the legacy JSON cache;
-            a store is opened at ``<cache_dir>/results.sqlite`` and any
-            legacy ``<hash>.json`` entries are imported into it first.
+        to one (created on demand).  ``None`` disables caching.
     progress:
         Optional callable invoked as ``progress(done, total, result)`` after
         every completed cell.
@@ -364,26 +192,15 @@ def run_sweep(
         the partial ``results``, and successful cells are already recorded
         in the store.
     """
-    items = list(points)
-    scenarios: List[Scenario] = []
-    origins: List[Optional[SweepPoint]] = []
-    for item in items:
-        if isinstance(item, SweepPoint):
-            scenarios.append(item.to_scenario())
-            origins.append(item)
-        elif isinstance(item, Scenario):
-            scenarios.append(item)
-            origins.append(None)
-        else:
-            raise TypeError(
-                f"run_sweep expects Scenario or SweepPoint cells, got {type(item).__name__}"
-            )
+    scenarios = list(points)
+    for item in scenarios:
+        if not isinstance(item, Scenario):
+            raise TypeError(f"run_sweep expects Scenario cells, got {type(item).__name__}")
 
     results: List[Optional[SweepResult]] = [None] * len(scenarios)
-    cache, owns_store = _open_store(store, cache_dir)
+    cache, owns_store = _open_store(store)
     try:
         def finish(index: int, result: SweepResult, record: bool) -> None:
-            result.point = origins[index]
             results[index] = result
             # Failed cells are never recorded: a later sweep must re-attempt
             # them instead of serving the failure from cache.

@@ -5,9 +5,9 @@ This package is the repository's system of record for simulation results:
 * :mod:`repro.results.schema` — the flat ``metric[/app]`` key schema every
   run is reduced to (:func:`~repro.results.schema.flatten_run`);
 * :mod:`repro.results.store` — :class:`~repro.results.store.ResultStore`, an
-  append-only SQLite database keyed by
+  append-only SQLite database of immutable runs keyed by
   :func:`~repro.experiments.scenario.scenario_hash`, with query/aggregation
-  APIs and a one-shot importer for the legacy JSON sweep cache.
+  APIs.
 
 The sweep (:mod:`repro.experiments.sweep`) caches through the store, the
 benchmark drivers record into it, and the report builders

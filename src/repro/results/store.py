@@ -19,16 +19,12 @@ Design:
   :func:`repro.results.schema.flatten_run`.  The ``value`` column is
   declared without type affinity so integers round-trip as integers and
   floats as IEEE doubles (bit-exact).
-* **Append-only**: :meth:`ResultStore.record` inserts with
-  ``INSERT OR IGNORE`` — recorded values are never overwritten; re-recording
-  a known scenario only backfills metric rows it did not have yet (how
-  legacy imports acquire the per-application metrics).  Simulator changes
-  that alter numbers must bump
+* **Immutable runs**: once a run is recorded, re-recording the same
+  scenario writes nothing — no value is overwritten and no metric row is
+  added, so every row holds the output of one simulator version.
+  Simulator changes that alter numbers must bump
   :data:`~repro.experiments.scenario.CACHE_VERSION`, which changes every
   hash and orphans (rather than corrupts) old rows.
-* A **one-shot importer** (:meth:`ResultStore.import_json_cache`) migrates
-  the pre-store sweep cache (a directory of ``<hash>.json`` files,
-  ``CACHE_VERSION`` 2) into the store; importing is idempotent.
 
 See ``docs/results.md`` for the on-disk schema and CLI workflows.
 """
@@ -157,11 +153,12 @@ def ensure_uniform(runs: Sequence["StoredResult"], what: str) -> None:
 def mean_metric(runs: Sequence["StoredResult"], metric: str, app: Optional[str] = None) -> float:
     """Mean of one metric over the ``runs`` that carry it (cross-seed aggregation).
 
-    Runs lacking the metric — legacy JSON-cache imports, which carry only
-    coarse metrics — are skipped as long as at least one run has it, so a
-    backfill run recorded next to a coarse legacy row wins instead of the
-    pair dead-locking the report.  Raises ``ValueError`` when ``runs`` is
-    empty or *no* run has the metric, naming the command that backfills it.
+    Runs lacking the metric are skipped as long as at least one run has it.
+    Such runs are rows that older releases imported from the pre-store JSON
+    sweep cache, which carried only coarse metrics; stored runs are never
+    amended, so a fully-simulated run of the same family wins the aggregate.
+    Raises ``ValueError`` when ``runs`` is empty or *no* run has the
+    metric, naming the command that re-simulates the run into a fresh store.
     """
     if not runs:
         raise ValueError(f"no stored runs to aggregate metric {join_metric(metric, app)!r} over")
@@ -180,17 +177,17 @@ def mean_metric(runs: Sequence["StoredResult"], metric: str, app: Optional[str] 
         scale_hint = f" --scale {scales.pop()}" if len(scales) == 1 else ""
         raise ValueError(
             f"none of the {len(runs)} stored {run.name!r} run(s) has metric "
-            f"{join_metric(metric, app)!r}; legacy cache imports carry only "
-            f"coarse metrics — backfill by re-simulating, e.g. "
+            f"{join_metric(metric, app)!r}; runs imported from a pre-store "
+            f"JSON cache carry only coarse metrics and stored runs are never "
+            f"amended — re-simulate into a fresh store, e.g. "
             f"'dragonfly-sim run {base} --routing {run.routing} "
             f"--seed {run.seed}{scale_hint} --placement {run.placement} "
-            "--store PATH'"
+            "--store NEW_PATH'"
         )
     return float(np.mean(values))
 
-#: Default store location used by the CLI.  It lives inside the legacy sweep
-#: cache directory so existing ``.sweep-cache/*.json`` entries sit next to
-#: (and are auto-imported into) the store that replaces them.
+#: Default store location used by the CLI.  Any pre-store ``<hash>.json``
+#: sweep-cache files in the same directory are ignored.
 DEFAULT_STORE_PATH = ".sweep-cache/results.sqlite"
 
 _SCHEMA_VERSION = 1
@@ -383,19 +380,15 @@ class ResultStore:
 
     # --------------------------------------------------------------- writing
     def record(self, scenario: Scenario, metrics: Dict[str, float], wall_seconds: float = 0.0) -> bool:
-        """Append one result; returns whether the *run* was newly recorded.
+        """Append one result; returns whether the run was newly recorded.
 
-        The store is append-only at the metric level: existing values are
-        never overwritten, but re-recording a known scenario fills in any
-        metric rows it did not have yet.  That is what rescues runs imported
-        from the legacy JSON cache (which carries only the coarse metrics) —
-        simulating the scenario once with the current code backfills the
-        per-application metrics the reports need.  The one exception to
-        append-only: a row whose stored scenario JSON no longer matches this
-        scenario's canonical form (a stale serialization under the same
-        hash) is replaced wholesale, so a re-simulated cell heals the store
-        instead of being discarded forever.  Metric keys follow
-        :mod:`repro.results.schema`.
+        Recorded runs are immutable: re-recording a scenario that is already
+        stored writes nothing and returns ``False``, whatever ``metrics``
+        holds.  The one exception: a row whose stored scenario JSON no
+        longer matches this scenario's canonical form (a stale serialization
+        under the same hash) is replaced wholesale, so a re-simulated cell
+        heals the store instead of being discarded forever.  Metric keys
+        follow :mod:`repro.results.schema`.
         """
         key = scenario_hash(scenario)
         canonical = _canonical(scenario.to_dict())
@@ -419,84 +412,33 @@ class ResultStore:
             cursor = self._conn.execute(
                 "INSERT OR IGNORE INTO runs VALUES (?,?,?,?,?,?,?,?,?,?)", run_row
             )
-            inserted = cursor.rowcount > 0
-            if not inserted:
+            if cursor.rowcount == 0:
                 stored = self._conn.execute(
                     "SELECT scenario_json FROM runs WHERE scenario_hash = ?", (key,)
                 ).fetchone()
-                if stored is None or stored[0] != canonical:
-                    # The row under this hash describes a different scenario
-                    # serialization — in practice a stale layout, not a real
-                    # sha256 collision.  Self-heal as the legacy JSON cache
-                    # did: the freshly simulated result is authoritative, so
-                    # replace the stale row wholesale (otherwise get() keeps
-                    # missing and every sweep re-simulates this cell forever).
-                    self._conn.execute("DELETE FROM metrics WHERE scenario_hash = ?", (key,))
-                    self._conn.execute("DELETE FROM runs WHERE scenario_hash = ?", (key,))
-                    self._conn.execute(
-                        "INSERT INTO runs VALUES (?,?,?,?,?,?,?,?,?,?)", run_row
-                    )
-                    inserted = True
+                if stored is not None and stored[0] == canonical:
+                    return False
+                # The row under this hash describes a different scenario
+                # serialization — in practice a stale layout, not a real
+                # sha256 collision.  The freshly simulated result is
+                # authoritative, so replace the stale row wholesale
+                # (otherwise get() keeps missing and every sweep
+                # re-simulates this cell forever).
+                self._conn.execute("DELETE FROM metrics WHERE scenario_hash = ?", (key,))
+                self._conn.execute("DELETE FROM runs WHERE scenario_hash = ?", (key,))
+                self._conn.execute("INSERT INTO runs VALUES (?,?,?,?,?,?,?,?,?,?)", run_row)
             rows = []
             for metric_key, value in metrics.items():
                 metric, app = split_metric(metric_key)
                 rows.append((key, app or "", metric, value))
             self._conn.executemany("INSERT OR IGNORE INTO metrics VALUES (?,?,?,?)", rows)
-        return inserted
+        return True
 
     def record_run(self, scenario: Scenario, result: "RunResult") -> bool:
         """Flatten a :class:`~repro.experiments.runner.RunResult` and record it."""
         from repro.results.schema import flatten_run
 
         return self.record(scenario, flatten_run(result), result.wall_seconds)
-
-    def import_json_cache(self, cache_dir: Union[str, Path]) -> int:
-        """One-shot import of a legacy JSON sweep cache (``<hash>.json`` files).
-
-        Only files holding the pre-store payload format at the current
-        :data:`~repro.experiments.scenario.CACHE_VERSION` are imported;
-        anything else is skipped.  Genuinely one-shot: a marker in the
-        ``meta`` table records that a directory was imported, so later calls
-        (every ``run_sweep`` against this store) skip the scan entirely
-        instead of re-parsing every JSON file.  Returns the number of newly
-        imported results.
-        """
-        directory = Path(cache_dir)
-        if not directory.is_dir():
-            return 0
-        marker = f"imported:{directory.resolve()}"
-        seen = self._conn.execute("SELECT 1 FROM meta WHERE key = ?", (marker,)).fetchone()
-        if seen is not None:
-            return 0
-        imported = 0
-        transient_failure = False
-        for path in sorted(directory.glob("*.json")):
-            # One corrupt or hand-edited entry must not abort the import (or
-            # the sweep that triggered it) — skip anything that fails to
-            # parse, validate, or record.
-            try:
-                payload = json.loads(path.read_text())
-                if payload.get("version") != CACHE_VERSION:
-                    continue
-                scenario = Scenario.from_dict(payload["scenario"])
-                metrics = dict(payload["metrics"])
-                if self.record(scenario, metrics, float(payload.get("wall_seconds", 0.0))):
-                    imported += 1
-            except (OSError, ValueError, KeyError, TypeError):
-                continue  # malformed entry: permanently skippable
-            except sqlite3.Error:
-                # Transient database contention: leave the marker unwritten
-                # so the next open retries these entries.
-                transient_failure = True
-                continue
-        if not transient_failure:
-            with self._conn:
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO meta(key, value) VALUES (?, ?)",
-                    # reprolint: disable=REP102 -- wall-clock provenance timestamp
-                    (marker, datetime.now(timezone.utc).isoformat(timespec="seconds")),
-                )
-        return imported
 
     # --------------------------------------------------------------- reading
     def get(self, scenario: Scenario) -> Optional[StoredResult]:

@@ -20,6 +20,7 @@ from repro.experiments.configs import (
 from repro.experiments.runner import run_standalone, run_workloads
 from repro.metrics.congestion import congestion_index_matrix, stall_time_by_group
 from repro.metrics.intensity import injection_rate_gbps, intensity_table
+from repro.results import DEFAULT_STORE_PATH
 
 
 def _tiny_config(routing="par", seed=3):
@@ -218,7 +219,7 @@ def test_cli_parser_subcommands():
     )
     assert args.command == "sweep"
     assert args.seeds == [1, 2] and args.workers == 3
-    assert args.store is None and args.cache_dir is None  # default store applied at run time
+    assert args.store == str(DEFAULT_STORE_PATH)
     args = parser.parse_args(["report", "table1", "--format", "csv"])
     assert args.command == "report" and args.name == "table1" and args.fmt == "csv"
     with pytest.raises(SystemExit):

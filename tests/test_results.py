@@ -12,7 +12,6 @@ from repro.cli import main
 from repro.config import SimulationConfig, tiny_system
 from repro.experiments.configs import AppSpec
 from repro.experiments.scenario import (
-    CACHE_VERSION,
     Scenario,
     mixed_scenario,
     mixed_solo_scenarios,
@@ -82,17 +81,16 @@ def test_store_record_and_get_round_trip(tmp_path):
         assert stored.scenario == scenario.to_dict()
 
 
-def test_store_is_append_only_with_metric_backfill(tmp_path):
+def test_store_rows_are_immutable_once_recorded(tmp_path):
     scenario = _tiny_scenario()
     with ResultStore(tmp_path / "r.sqlite") as store:
         assert store.record(scenario, FAKE_METRICS)
-        # Existing values are never overwritten...
+        # Re-recording neither overwrites a value nor adds a metric row, so
+        # one stored run never mixes outputs of two simulator versions.
         assert not store.record(scenario, {"makespan_ns": -1.0})
-        assert store.get(scenario).metrics["makespan_ns"] == FAKE_METRICS["makespan_ns"]
-        # ...but re-recording backfills metrics the run did not have yet
-        # (how legacy JSON imports acquire the per-app metrics).
-        assert not store.record(scenario, {"total_msg_bytes/UR": 7})
-        assert store.get(scenario).metrics == {**FAKE_METRICS, "total_msg_bytes/UR": 7}
+        assert not store.record(scenario, {**FAKE_METRICS, "total_msg_bytes/UR": 7})
+        assert store.get(scenario).metrics == FAKE_METRICS
+        assert len(store) == 1
 
 
 def test_store_get_rejects_tampered_scenario(tmp_path):
@@ -208,32 +206,13 @@ def test_mean_metric_reports_missing_metrics():
 
 
 def test_mean_metric_skips_coarse_legacy_rows():
-    """A backfill run recorded next to a coarse legacy row wins the aggregate."""
+    """A full run recorded next to a coarse legacy row wins the aggregate."""
     store = ResultStore()
     store.record(_tiny_scenario(name="test/UR[par,seed=1]"), {"makespan_ns": 1.0})
     store.record(_tiny_scenario(name="test/UR"), {"comm_time_ns/UR": 42.0})
     runs = store.runs_named("test/UR")
     assert len(runs) == 2
     assert mean_metric(runs, "comm_time_ns", "UR") == 42.0
-
-
-def test_import_json_cache_is_one_shot(tmp_path):
-    scenario = _tiny_scenario()
-    cache_dir = tmp_path / "legacy"
-    cache_dir.mkdir()
-    payload = {
-        "version": CACHE_VERSION,
-        "scenario": scenario.to_dict(),
-        "metrics": dict(FAKE_METRICS),
-        "wall_seconds": 2.0,
-    }
-    (cache_dir / f"{scenario_hash(scenario)}.json").write_text(json.dumps(payload))
-    (cache_dir / "not-a-cache-entry.json").write_text("{}")
-    (cache_dir / "old-version.json").write_text(json.dumps({**payload, "version": 1}))
-    with ResultStore(tmp_path / "r.sqlite") as store:
-        assert store.import_json_cache(cache_dir) == 1
-        assert store.import_json_cache(cache_dir) == 0  # idempotent
-        assert store.get(scenario).metrics == FAKE_METRICS
 
 
 def test_run_sweep_with_store_hits_every_point_when_warm(tmp_path):

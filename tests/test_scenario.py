@@ -664,10 +664,9 @@ def test_cli_run_applies_scale_override(tmp_path, capsys):
 def test_cli_sweep_runs_scenario_grid_with_caching(tmp_path, capsys):
     path = tmp_path / "pair.json"
     dump_scenarios(path, [_tiny_scenario()])
-    cache = tmp_path / "cache"
     argv = [
         "sweep", "--scenario", str(path), "--routings", "par", "minimal",
-        "--workers", "1", "--cache-dir", str(cache),
+        "--workers", "1", "--store", str(tmp_path / "r.sqlite"),
     ]
     assert main(argv) == 0
     out = capsys.readouterr().out

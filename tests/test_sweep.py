@@ -1,32 +1,30 @@
-"""Tests of the parallel sweep runner: grids, hashing, caching, determinism."""
+"""Tests of the parallel sweep runner: grid building, caching, determinism."""
 
 import json
 
 import pytest
 
-from repro.experiments.scenario import CACHE_VERSION
-from repro.experiments.sweep import (
-    SweepPoint,
-    SweepResult,
-    build_grid,
-    point_hash,
-    run_sweep,
-)
+from repro.cli import main
+from repro.config import SimulationConfig, tiny_system
+from repro.experiments.configs import AppSpec
+from repro.experiments.scenario import CACHE_VERSION, Scenario, load_scenarios, scenario_hash
+from repro.experiments.sweep import run_sweep
 from repro.results import ResultStore
 
-#: Small-but-real sweep point: tiny system so every run finishes in well
-#: under a second.
-def _tiny_point(**overrides) -> SweepPoint:
-    fields = dict(
-        workload="UR", routing="par", seed=1, scale=0.2, ranks=8, system="tiny"
+
+def _tiny_cell(routing="par", seed=1) -> Scenario:
+    """Small-but-real sweep cell: tiny system, so every run finishes in well
+    under a second."""
+    return Scenario(
+        name="sweep/UR",
+        jobs=(AppSpec("UR", 8, {"scale": 0.2}),),
+        config=SimulationConfig(system=tiny_system(), seed=seed).with_routing(routing),
     )
-    fields.update(overrides)
-    return SweepPoint(**fields)
 
 
 def _tiny_grid():
     return [
-        _tiny_point(routing=routing, seed=seed)
+        _tiny_cell(routing=routing, seed=seed)
         for routing in ("par", "q-adaptive")
         for seed in (1, 2)
     ]
@@ -63,9 +61,6 @@ PINNED_WORKLOAD_GRID_HASHES = {
 
 @pytest.mark.parametrize("system", sorted(PINNED_WORKLOAD_GRID_HASHES))
 def test_cli_workloads_grid_hashes_are_pinned(system, tmp_path, capsys):
-    from repro.cli import main
-    from repro.experiments.scenario import load_scenarios, scenario_hash
-
     path = tmp_path / "grid.json"
     assert main(
         ["sweep", "--workloads", "UR", "ml.ring_allreduce",
@@ -78,140 +73,132 @@ def test_cli_workloads_grid_hashes_are_pinned(system, tmp_path, capsys):
     assert [cell.name for cell in grid] == ["sweep/UR"] * 8 + ["sweep/ml.ring_allreduce"] * 8
 
 
-def test_build_grid_is_full_cartesian_product():
-    grid = build_grid(
-        workloads=["UR", "LU"],
-        routings=["par", "minimal"],
-        placements=["random", "contiguous"],
-        seeds=[1, 2, 3],
-        system="tiny",
-    )
-    assert len(grid) == 2 * 2 * 2 * 3
-    assert len(set(grid)) == len(grid)  # frozen dataclass -> hashable, unique
-    assert all(p.system == "tiny" for p in grid)
+def _forbid_simulation(monkeypatch):
+    def run(self, *args, **kwargs):
+        raise AssertionError(f"{self.name} simulated before the grid was validated")
+
+    monkeypatch.setattr(Scenario, "run", run)
 
 
-def test_point_hash_stable_and_sensitive():
-    point = _tiny_point()
-    assert point_hash(point) == point_hash(_tiny_point())
-    assert point_hash(point) != point_hash(_tiny_point(seed=2))
-    assert point_hash(point) != point_hash(_tiny_point(routing="minimal"))
-    assert point_hash(point) != point_hash(_tiny_point(scale=0.3))
+def test_cli_workloads_grid_rejects_bad_axes_before_simulating(tmp_path, monkeypatch):
+    _forbid_simulation(monkeypatch)
+    argv = ["sweep", "--workloads", "UR", "--system", "tiny", "--scale", "0.1",
+            "--workers", "1", "--store", str(tmp_path / "r.sqlite")]
+    for bad in (
+        ["--workloads", "UR", "NotAnApp"],
+        ["--workloads", "UR", "hotspot"],  # an application, but not a grid workload
+        ["--routings", "par", "qadaptiv"],  # typo'd algorithm
+        ["--placements", "random", "spread"],
+    ):
+        with pytest.raises(ValueError):
+            main(argv + bad)
+    assert not (tmp_path / "r.sqlite").exists()
 
 
-def test_sweep_point_validates_every_axis_at_construction():
-    with pytest.raises(ValueError):
-        SweepPoint(workload="UR", system="huge")
-    with pytest.raises(ValueError):
-        SweepPoint(workload="NotAnApp")
-    with pytest.raises(ValueError):
-        SweepPoint(workload="UR", routing="qadaptiv")  # typo'd algorithm
-    with pytest.raises(ValueError):
-        SweepPoint(workload="UR", placement="spread")
+def test_cli_workloads_grid_rejects_unknown_system(tmp_path, monkeypatch, capsys):
+    _forbid_simulation(monkeypatch)
+    with pytest.raises(SystemExit):
+        main(["sweep", "--workloads", "UR", "--system", "huge",
+              "--store", str(tmp_path / "r.sqlite")])
+    assert "invalid choice" in capsys.readouterr().err
 
 
-def test_sweep_point_canonicalizes_aliases_into_one_cache_entry():
-    point = SweepPoint(workload="UR", routing="ugal", placement="Random")
-    assert point.routing == "ugal-g"
-    assert point.placement == "random"
-    assert point_hash(point) == point_hash(SweepPoint(workload="UR", routing="ugal-g"))
-
-
-def test_as_row_keeps_explicit_bandwidth_column():
-    default_row = SweepResult(
-        point=_tiny_point(), metrics={}, wall_seconds=0.0
-    ).as_row()
-    assert "link_bandwidth_gbps" not in default_row
-    swept_row = SweepResult(
-        point=_tiny_point(link_bandwidth_gbps=25.0), metrics={}, wall_seconds=0.0
-    ).as_row()
-    assert swept_row["link_bandwidth_gbps"] == 25.0
-
-
-def test_sweep_point_converts_to_single_job_scenario():
-    """The deprecated SweepPoint shim expands to an equivalent Scenario."""
-    point = _tiny_point()
-    scenario = point.to_scenario()
-    assert [spec.name for spec in scenario.jobs] == ["UR"]
-    assert scenario.jobs[0].num_ranks == 8
-    assert scenario.config.routing.algorithm == "par"
-    assert scenario.config.seed == 1
-    assert scenario.config.system.num_nodes == 40  # tiny system
-    assert point_hash(point) == point_hash(scenario)  # shared cache entry
+def test_cli_workloads_grid_canonicalizes_ugal_into_one_cache_entry(tmp_path, capsys):
+    store_path = tmp_path / "r.sqlite"
+    argv = ["sweep", "--workloads", "UR", "--system", "tiny", "--scale", "0.1",
+            "--placements", "Random", "--workers", "1", "--store", str(store_path)]
+    dump = tmp_path / "grid.json"
+    assert main(argv + ["--routings", "ugal", "--dump-scenario", str(dump)]) == 0
+    (cell,) = load_scenarios(dump)
+    assert cell.config.routing.algorithm == "ugal-g"
+    assert cell.placement == "random"
+    assert main(argv + ["--routings", "ugal"]) == 0
+    assert "(cache)" not in capsys.readouterr().err
+    assert main(argv + ["--routings", "ugal-g"]) == 0
+    assert "sweep/UR ugal-g random seed=1 (cache)" in capsys.readouterr().err
+    with ResultStore(store_path) as store:
+        assert len(store) == 1
+        assert store.get(cell) is not None
 
 
 # ------------------------------------------------------------------ execution
 def test_run_sweep_serial_produces_metrics():
-    results = run_sweep([_tiny_point()], workers=1)
+    results = run_sweep([_tiny_cell()], workers=1)
     assert len(results) == 1
     metrics = results[0].metrics
     assert metrics["makespan_ns"] > 0
     assert metrics["packets_injected"] == metrics["packets_ejected"] > 0
     assert not results[0].cached
     row = results[0].as_row()
-    assert row["workload"] == "UR" and row["makespan_ns"] > 0
+    assert row["scenario"] == "sweep/UR" and row["jobs"] == "UR"
+    assert row["routing"] == "par" and row["seed"] == 1 and row["makespan_ns"] > 0
+
+
+def test_run_sweep_rejects_non_scenario_cells():
+    with pytest.raises(TypeError, match="expects Scenario cells"):
+        run_sweep([_tiny_cell().to_dict()])
 
 
 def test_run_sweep_caches_results_in_store(tmp_path):
     store_path = tmp_path / "results.sqlite"
-    point = _tiny_point()
-    first = run_sweep([point], workers=1, store=store_path)
+    cell = _tiny_cell()
+    first = run_sweep([cell], workers=1, store=store_path)
     assert not first[0].cached
     with ResultStore(store_path) as store:
-        # The store records the canonically-serialized scenario, not the point.
-        stored = store.get(point.to_scenario())
+        stored = store.get(cell)
         assert stored is not None
-        assert stored.scenario == point.to_scenario().to_dict()
+        assert stored.scenario == cell.to_dict()
         assert stored.metrics == first[0].metrics
 
-    second = run_sweep([point], workers=1, store=store_path)
+    second = run_sweep([cell], workers=1, store=store_path)
     assert second[0].cached
     assert second[0].metrics == first[0].metrics
 
 
 def test_run_sweep_accepts_open_store(tmp_path):
-    point = _tiny_point()
+    cell = _tiny_cell()
     with ResultStore(tmp_path / "r.sqlite") as store:
-        first = run_sweep([point], workers=1, store=store)
-        second = run_sweep([point], workers=1, store=store)
+        first = run_sweep([cell], workers=1, store=store)
+        second = run_sweep([cell], workers=1, store=store)
     assert not first[0].cached and second[0].cached
 
 
-def test_run_sweep_imports_legacy_json_cache(tmp_path):
-    """A pre-store cache_dir of <hash>.json entries keeps its hits."""
-    cache = tmp_path / "cache"
+def test_run_sweep_never_reads_pre_store_json_cache(tmp_path):
+    """A <hash>.json entry from the pre-store cache sitting next to the store
+    (the old default layout) is ignored: the cell re-simulates."""
+    cache = tmp_path / ".sweep-cache"
     cache.mkdir()
-    point = _tiny_point()
-    scenario = point.to_scenario()
+    cell = _tiny_cell()
     payload = {
         "version": CACHE_VERSION,
-        "scenario": scenario.to_dict(),
+        "scenario": cell.to_dict(),
         "metrics": {"makespan_ns": 123.0, "mean_comm_time_ns": 1.0},
         "wall_seconds": 2.0,
     }
-    (cache / f"{point_hash(point)}.json").write_text(json.dumps(payload))
-    results = run_sweep([point], workers=1, cache_dir=str(cache))
-    assert results[0].cached
-    assert results[0].metrics["makespan_ns"] == 123.0
-    assert (cache / "results.sqlite").is_file()
+    (cache / f"{scenario_hash(cell)}.json").write_text(json.dumps(payload))
+    (result,) = run_sweep([cell], workers=1, store=cache / "results.sqlite")
+    assert not result.cached
+    assert result.metrics["makespan_ns"] != 123.0
+    with ResultStore(cache / "results.sqlite") as store:
+        assert store.get(cell).metrics == result.metrics
 
 
 def test_run_sweep_ignores_and_heals_stale_cache_entries(tmp_path):
     import sqlite3
 
     store_path = tmp_path / "results.sqlite"
-    point = _tiny_point()
-    run_sweep([point], workers=1, store=store_path)
+    cell = _tiny_cell()
+    run_sweep([cell], workers=1, store=store_path)
     conn = sqlite3.connect(store_path)
     # Simulate a stale layout under the same hash: stored scenario != requested.
     conn.execute("UPDATE runs SET scenario_json = replace(scenario_json, '\"seed\":1', '\"seed\":999')")
     conn.commit()
     conn.close()
-    results = run_sweep([point], workers=1, store=store_path)
+    results = run_sweep([cell], workers=1, store=store_path)
     assert not results[0].cached
     # Recording the re-simulated result replaced the stale row (self-heal),
     # so the next sweep is warm again instead of re-simulating forever.
-    healed = run_sweep([point], workers=1, store=store_path)
+    healed = run_sweep([cell], workers=1, store=store_path)
     assert healed[0].cached
     assert healed[0].metrics == results[0].metrics
 
@@ -221,8 +208,8 @@ def test_run_sweep_parallel_matches_serial_exactly():
     grid = _tiny_grid()
     serial = run_sweep(grid, workers=1)
     parallel = run_sweep(grid, workers=4)
-    assert [r.point for r in serial] == grid
-    assert [r.point for r in parallel] == grid
+    assert [r.scenario for r in serial] == grid
+    assert [r.scenario for r in parallel] == grid
     for s, p in zip(serial, parallel):
         assert s.metrics == p.metrics  # exact float equality, not approx
 
@@ -230,7 +217,7 @@ def test_run_sweep_parallel_matches_serial_exactly():
 def test_run_sweep_reports_progress():
     seen = []
     run_sweep(
-        [_tiny_point(), _tiny_point(seed=2)],
+        [_tiny_cell(), _tiny_cell(seed=2)],
         workers=1,
         progress=lambda done, total, result: seen.append((done, total, result.cached)),
     )
@@ -240,10 +227,6 @@ def test_run_sweep_reports_progress():
 # ------------------------------------------------------- failure isolation
 def _failing_scenario(seed=1):
     """A scenario that raises inside run(): continuous injection, no bound."""
-    from repro.config import SimulationConfig, tiny_system
-    from repro.experiments.configs import AppSpec
-    from repro.experiments.scenario import Scenario
-
     return Scenario(
         name=f"sweep/unbounded-{seed}",
         jobs=(AppSpec("shift", 6, {"offered_load": 0.5}),),
@@ -254,10 +237,9 @@ def _failing_scenario(seed=1):
 def test_failing_cell_does_not_kill_the_sweep(tmp_path):
     """Regression: one crashing scenario used to abort the whole grid."""
     from repro.experiments.sweep import SweepError
-    from repro.results import ResultStore
 
     store_path = tmp_path / "results.sqlite"
-    grid = [_tiny_point(seed=1), _failing_scenario(), _tiny_point(seed=2)]
+    grid = [_tiny_cell(seed=1), _failing_scenario(), _tiny_cell(seed=2)]
     with pytest.raises(SweepError) as excinfo:
         run_sweep(grid, workers=1, store=store_path)
     error = excinfo.value
@@ -280,9 +262,9 @@ def test_failing_cell_does_not_kill_the_sweep(tmp_path):
 
     # Successes are cached; the failure is not (it must be re-attempted).
     with ResultStore(store_path) as store:
-        assert store.get(grid[0].to_scenario()) is not None
+        assert store.get(grid[0]) is not None
         assert store.get(grid[1]) is None
-        assert store.get(grid[2].to_scenario()) is not None
+        assert store.get(grid[2]) is not None
     with pytest.raises(SweepError) as again:
         run_sweep(grid, workers=1, store=store_path)
     assert [r.cached for r in again.value.results] == [True, False, True]
@@ -292,7 +274,7 @@ def test_failing_cell_is_isolated_across_worker_processes():
     """The failure comes back as a result through the pool, not a raise."""
     from repro.experiments.sweep import SweepError
 
-    grid = [_failing_scenario(), _tiny_point(seed=1), _tiny_point(seed=2)]
+    grid = [_failing_scenario(), _tiny_cell(seed=1), _tiny_cell(seed=2)]
     with pytest.raises(SweepError) as excinfo:
         run_sweep(grid, workers=2)
     results = excinfo.value.results
@@ -306,7 +288,7 @@ def test_fail_fast_stops_at_the_first_failure():
     from repro.experiments.sweep import SweepError
 
     seen = []
-    grid = [_tiny_point(seed=1), _failing_scenario(), _tiny_point(seed=2)]
+    grid = [_tiny_cell(seed=1), _failing_scenario(), _tiny_cell(seed=2)]
     with pytest.raises(SweepError) as excinfo:
         run_sweep(
             grid,
