@@ -121,6 +121,25 @@ def test_cli_workloads_grid_canonicalizes_ugal_into_one_cache_entry(tmp_path, ca
         assert store.get(cell) is not None
 
 
+def test_cli_sweep_empty_store_disables_caching(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "--workloads", "UR", "--system", "tiny", "--scale", "0.1",
+            "--routings", "par", "--workers", "1", "--store", ""]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    assert "(cache)" not in capsys.readouterr().err
+    assert not (tmp_path / ".sweep-cache").exists()  # the default store is not opened
+
+
+def test_cli_sweep_unreadable_store_fails_cleanly(tmp_path, capsys):
+    broken = tmp_path / "broken.sqlite"
+    broken.write_bytes(b"not a sqlite database" * 100)
+    assert main(["sweep", "--workloads", "UR", "--system", "tiny", "--scale", "0.1",
+                 "--routings", "par", "--workers", "1", "--store", str(broken)]) == 2
+    err = capsys.readouterr().err
+    assert f"result store {str(broken)!r} is unreadable" in err
+
+
 # ------------------------------------------------------------------ execution
 def test_run_sweep_serial_produces_metrics():
     results = run_sweep([_tiny_cell()], workers=1)
