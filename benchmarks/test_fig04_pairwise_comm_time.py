@@ -24,7 +24,7 @@ from conftest import (
 )
 
 from repro.analysis.pairwise import comparison_rows
-from repro.analysis.reports import format_table
+from repro.analysis.reports import ReportFilter, format_table
 
 TARGETS = ["FFT3D", "LQCD"] if not FULL_SWEEP else ["FFT3D", "LU", "LQCD", "CosmoFlow", "Stencil5D", "LULESH"]
 BACKGROUNDS = [None, "UR", "Halo3D"] if not FULL_SWEEP else [None, "UR", "LU", "FFT3D", "CosmoFlow", "DL", "Halo3D"]
@@ -47,16 +47,13 @@ def _build_rows():
             if interfered is not None:
                 scenarios.append(interfered)
     ensure_stored(scenarios)
-    # One comparison_rows call per pair covers every routing at once — the
-    # full sweep would otherwise rescan the store per (routing, pair) cell.
+    # The routing filter is a store-side query, so one call per (pair,
+    # routing) cell reads only that cell's runs.
     rows = []
     for target, background in _pairs():
-        rows.extend(
-            comparison_rows(
-                bench_store(), target, background,
-                routings=routings_under_test(), seed=BENCH_SEED, scale=BENCH_SCALE,
-            )
-        )
+        for routing in routings_under_test():
+            where = ReportFilter(routing=routing, seed=BENCH_SEED, scale=BENCH_SCALE)
+            rows.extend(comparison_rows(bench_store(), target, background, where))
     return rows
 
 

@@ -22,7 +22,7 @@ from conftest import (
 )
 
 from repro.analysis.mixed import mixed_rows_from_store
-from repro.analysis.reports import format_table
+from repro.analysis.reports import ReportFilter, format_table
 
 
 def _rows():
@@ -30,11 +30,8 @@ def _rows():
     for routing in routings_under_test():
         mixed, solos = mixed_scenarios(routing)
         ensure_stored([mixed, *solos])
-        rows.extend(
-            mixed_rows_from_store(
-                bench_store(), routings=[routing], seed=BENCH_SEED, scale=BENCH_SCALE
-            )
-        )
+        where = ReportFilter(routing=routing, seed=BENCH_SEED, scale=BENCH_SCALE)
+        rows.extend(mixed_rows_from_store(bench_store(), where))
     return rows
 
 

@@ -10,7 +10,7 @@ store re-renders the table without launching a single simulation.
 
 from conftest import BENCH_SCALE, BENCH_SEED, bench_store, ensure_stored, standalone_scenario
 
-from repro.analysis.reports import intensity_report, table1_rows
+from repro.analysis.reports import ReportFilter, intensity_report, table1_rows
 from repro.experiments.configs import BENCH_RANKS
 
 
@@ -19,7 +19,9 @@ def _build_table():
     # traffic patterns registered alongside them have no bench-scale rank
     # counts and no Table I row.
     ensure_stored(standalone_scenario(name, "par") for name in BENCH_RANKS)
-    return table1_rows(bench_store(), routing="par", seed=BENCH_SEED, scale=BENCH_SCALE)
+    return table1_rows(
+        bench_store(), ReportFilter(routing="par", seed=BENCH_SEED, scale=BENCH_SCALE)
+    )
 
 
 def test_table1_intensity(benchmark):

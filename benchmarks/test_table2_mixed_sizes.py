@@ -10,14 +10,16 @@ regenerates the table without simulating.
 
 from conftest import BENCH_SCALE, BENCH_SEED, bench_store, ensure_stored, mixed_scenarios
 
-from repro.analysis.reports import format_table, table2_rows
+from repro.analysis.reports import ReportFilter, format_table, table2_rows
 from repro.experiments.configs import PAPER_TABLE2_JOB_SIZES
 
 
 def _build_rows():
     mixed, _solos = mixed_scenarios("par")
     ensure_stored([mixed])
-    return table2_rows(bench_store(), routing="par", seed=BENCH_SEED, scale=BENCH_SCALE)
+    return table2_rows(
+        bench_store(), ReportFilter(routing="par", seed=BENCH_SEED, scale=BENCH_SCALE)
+    )
 
 
 def test_table2_mixed_workload_sizes(benchmark):

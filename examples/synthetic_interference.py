@@ -24,7 +24,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.analysis.reports import format_table, synthetic_rows
+from repro.analysis.reports import ReportFilter, format_table, synthetic_rows
 from repro.config import SimulationConfig, tiny_system
 from repro.experiments.scenario import expand_grid, pairwise_scenario
 from repro.experiments.sweep import run_sweep
@@ -68,8 +68,8 @@ def main() -> None:
     columns = ["background", "routing", "standalone_comm_ns", "interfered_comm_ns",
                "slowdown", "variation"]
     with ResultStore(store_path) as store:
-        simultaneous = synthetic_rows(store, "UR", start_time=0.0)
-        staggered = synthetic_rows(store, "UR", start_time=STAGGER_NS)
+        simultaneous = synthetic_rows(store, "UR", ReportFilter(start_time=0.0))
+        staggered = synthetic_rows(store, "UR", ReportFilter(start_time=STAGGER_NS))
 
     print("=== UR vs. synthetic backgrounds — simultaneous arrival (t0 = 0) ===")
     print(format_table(simultaneous, columns))

@@ -8,41 +8,38 @@ builders (:func:`~repro.analysis.pairwise.comparison_rows`,
 comparison rows from a :class:`~repro.results.ResultStore` without
 simulating.  :mod:`repro.analysis.reports` renders rows as plain-text, CSV
 or Markdown tables and hosts the named report builders behind
-``dragonfly-sim report`` (see docs/results.md).
+``dragonfly-sim report`` (see docs/results.md); every store-backed builder
+reads the runs one :class:`~repro.analysis.reports.ReportFilter` selects.
 """
 
 from repro.analysis.pairwise import PairwiseResult, comparison_rows, pairwise_study
 from repro.analysis.mixed import MixedResult, mixed_rows_from_store, mixed_study
 from repro.analysis.reports import (
+    ReportFilter,
     build_report,
     format_csv,
     format_markdown,
     format_table,
     intensity_report,
-    interference_report,
-    ml_rows,
     render_rows,
     table1_rows,
     table2_rows,
-    trace_rows,
 )
 
 __all__ = [
     "MixedResult",
     "PairwiseResult",
+    "ReportFilter",
     "build_report",
     "comparison_rows",
     "format_csv",
     "format_markdown",
     "format_table",
     "intensity_report",
-    "interference_report",
     "mixed_rows_from_store",
     "mixed_study",
-    "ml_rows",
     "pairwise_study",
     "render_rows",
     "table1_rows",
     "table2_rows",
-    "trace_rows",
 ]

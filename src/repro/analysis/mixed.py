@@ -30,6 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
 
 import numpy as np
 
+from repro.analysis.reports import ReportFilter
 from repro.config import SimulationConfig
 from repro.experiments.configs import AppSpec, mixed_workload_specs
 from repro.experiments.runner import RunResult, run_workloads
@@ -90,71 +91,54 @@ class MixedResult:
 def mixed_study(
     config: SimulationConfig,
     specs: Optional[Sequence[AppSpec]] = None,
-    placement: str = "random",
     standalone: Optional[Dict[str, RunResult]] = None,
 ) -> MixedResult:
     """Run the mixed workload and (optionally reuse) standalone baselines."""
     specs = list(specs) if specs is not None else mixed_workload_specs()
-    mixed_result = run_workloads(config, specs, placement=placement)
+    mixed_result = run_workloads(config, specs)
     baselines: Dict[str, RunResult] = dict(standalone or {})
     for spec in specs:
         if spec.name not in baselines:
-            baselines[spec.name] = run_workloads(config, [spec], placement=placement)
+            baselines[spec.name] = run_workloads(config, [spec])
     return MixedResult(
         routing=config.routing.algorithm, mixed=mixed_result, standalone=baselines
     )
 
 
 def mixed_rows_from_store(
-    store: "ResultStore",
-    routings: Optional[Sequence[str]] = None,
-    seed: Optional[int] = None,
-    scale: Optional[float] = None,
-    placement: Optional[str] = None,
-    start_time: Optional[float] = None,
-    knobs: Optional[Dict[str, Dict[str, object]]] = None,
-    fidelity: Optional[str] = None,
+    store: "ResultStore", where: ReportFilter = ReportFilter()
 ) -> List[dict]:
     """Fig. 10 interference rows built from a result store — no simulation.
 
-    For every routing (all present when ``routings=None``), compares each
-    application's communication time in the recorded ``mixed/table2`` run
-    against its ``mixed/solo/<App>`` standalone baseline, aggregating across
-    the matching seeds.  Raises ``ValueError`` when a required run is missing
-    (populate the store by recording :func:`repro.experiments.scenario.mixed_scenario`
-    and :func:`~repro.experiments.scenario.mixed_solo_scenarios` runs, e.g.
-    via ``run_sweep(..., store=...)``).
+    For every routing present among the recorded ``mixed/table2`` runs that
+    match ``where``, compares each application's communication time in the
+    mix against its ``mixed/solo/<App>`` standalone baseline (read through
+    :meth:`ReportFilter.baseline`, as in
+    :func:`repro.analysis.pairwise.comparison_rows`), aggregating across
+    the matching seeds.  Raises ``ValueError`` when a required run is
+    missing (populate the store by recording
+    :func:`repro.experiments.scenario.mixed_scenario` and
+    :func:`~repro.experiments.scenario.mixed_solo_scenarios` runs, e.g. via
+    ``run_sweep(..., store=...)``).
     """
     from repro.results.store import ensure_comparable, ensure_uniform, mean_metric
 
-    filters = dict(seed=seed, scale=scale, placement=placement, fidelity=fidelity)
-    # start_time/knobs narrow the mixed co-run; solo baselines are always the
-    # simultaneous-arrival standalone runs (as in pairwise.comparison_rows).
-    mixed_runs = store.runs_named(
-        MIXED_SCENARIO_NAME, start_time=start_time, knobs=knobs, **filters
-    )
+    mixed_runs = where.runs(store, MIXED_SCENARIO_NAME)
     if not mixed_runs:
         raise ValueError(
             f"no stored {MIXED_SCENARIO_NAME!r} runs; populate the store with "
             f"'dragonfly-sim sweep --scenario {MIXED_SCENARIO_NAME} --store PATH'"
         )
-    if routings is None:
-        routings = sorted({run.routing for run in mixed_runs})
 
+    baseline = where.baseline()
     rows = []
-    for routing in routings:
+    for routing in sorted({run.routing for run in mixed_runs}):
         mixes = [run for run in mixed_runs if run.routing == routing]
-        if not mixes:
-            raise ValueError(
-                f"no stored {MIXED_SCENARIO_NAME!r} run under routing {routing!r}"
-            )
         ensure_uniform(mixes, MIXED_SCENARIO_NAME)
         for app in mixes[0].jobs:
             solos = [
                 run
-                for run in store.runs_named(
-                    f"{MIXED_SOLO_PREFIX}{app}", start_time=0.0, **filters
-                )
+                for run in baseline.runs(store, f"{MIXED_SOLO_PREFIX}{app}")
                 if run.routing == routing
             ]
             if not solos:

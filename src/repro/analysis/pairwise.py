@@ -18,13 +18,14 @@ Two paths produce the Fig. 4 comparison rows:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     import numpy as np
 
     from repro.results import ResultStore
 
+from repro.analysis.reports import ReportFilter
 from repro.config import SimulationConfig
 from repro.experiments.configs import pairwise_specs
 from repro.experiments.runner import RunResult, run_workloads
@@ -82,7 +83,6 @@ def pairwise_study(
     target: str,
     background: Optional[str],
     scale: float = 1.0,
-    placement: str = "random",
     standalone_result: Optional[RunResult] = None,
     target_ranks: Optional[int] = None,
     background_ranks: Optional[int] = None,
@@ -99,7 +99,6 @@ def pairwise_study(
         standalone_result = run_workloads(
             config,
             pairwise_specs(target, None, scale=scale, target_ranks=target_ranks),
-            placement=placement,
         )
     interfered_result: Optional[RunResult] = None
     if background is not None:
@@ -112,7 +111,6 @@ def pairwise_study(
                 target_ranks=target_ranks,
                 background_ranks=background_ranks,
             ),
-            placement=placement,
         )
     return PairwiseResult(
         routing=config.routing.algorithm,
@@ -127,33 +125,23 @@ def comparison_rows(
     store: "ResultStore",
     target: str,
     background: Optional[str],
-    routings: Optional[Sequence[str]] = None,
-    seed: Optional[int] = None,
-    scale: Optional[float] = None,
-    placement: Optional[str] = None,
-    start_time: Optional[float] = None,
-    knobs: Optional[Dict[str, Dict[str, object]]] = None,
-    fidelity: Optional[str] = None,
+    where: ReportFilter = ReportFilter(),
 ) -> List[dict]:
     """Fig. 4 comparison rows built from a result store — no simulation.
 
-    Looks up the recorded ``pairwise/<target>`` standalone baseline and (when
-    ``background`` is given) the ``pairwise/<target>+<background>`` co-run,
-    aggregates each metric across the matching seeds, and returns one row per
-    routing algorithm in the :meth:`PairwiseResult.as_dict` schema.
-    ``routings=None`` reports every routing present; the remaining filters
-    narrow the matched runs.  ``start_time`` narrows the *co-run* family to
-    one arrival stagger (``0.0`` = simultaneous), which disambiguates stores
-    holding both staggered and simultaneous runs of one pair; the
-    comparison's baseline is always the simultaneous-arrival standalone run
-    (a standalone job delayed into an empty network is the same experiment
-    shifted in time).  With ``background=None`` — a pure baseline report —
-    ``start_time`` selects among the standalone runs themselves.  ``knobs``
-    (``{job: {kwarg: value}}``) likewise narrows the co-run family to one
-    cell of a ``job_knobs`` sweep, e.g. ``{"hotspot": {"hot_fraction":
-    0.9}}``.  Raises ``ValueError`` when a required run is missing (populate
-    the store with ``dragonfly-sim sweep --scenario pairwise/<T>+<B> --store
-    PATH``).
+    Looks up the recorded ``pairwise/<target>+<background>`` co-runs that
+    match ``where`` and their ``pairwise/<target>`` standalone baseline,
+    aggregates each metric across the matching seeds, and returns one row
+    per routing algorithm present in the :meth:`PairwiseResult.as_dict`
+    schema.  The baseline is read through :meth:`ReportFilter.baseline`:
+    ``where.start_time`` and ``where.knobs`` narrow the *co-run* family to
+    one arrival stagger or one cell of a ``job_knobs`` sweep (e.g.
+    ``{"hotspot": {"hot_fraction": 0.9}}``), while the comparison's
+    baseline is always the simultaneous-arrival standalone run.  With
+    ``background=None`` — a pure baseline report — ``where`` selects among
+    the standalone runs themselves.  Raises ``ValueError`` when a required
+    run is missing (populate the store with ``dragonfly-sim sweep
+    --scenario pairwise/<T>+<B> --store PATH``).
     """
     from repro.results.store import ensure_comparable, ensure_uniform, mean_metric
 
@@ -163,42 +151,25 @@ def comparison_rows(
     pair_name = f"pairwise/{target}+{background}" if background else base_name
     # Fidelity filters both families: comparing a flow-level co-run against
     # a packet-level baseline would mix approximations (docs/fidelity.md).
-    filters = dict(seed=seed, scale=scale, placement=placement, fidelity=fidelity)
-    base_runs = store.runs_named(
-        base_name,
-        start_time=start_time if background is None else 0.0,
-        knobs=knobs if background is None else None,
-        **filters,
-    )
-    pair_runs = (
-        base_runs
-        if background is None
-        else store.runs_named(pair_name, start_time=start_time, knobs=knobs, **filters)
-    )
-    if routings is None:
-        routings = sorted({run.routing for run in (pair_runs if background else base_runs)})
-        if not routings:
-            raise ValueError(
-                f"no stored {pair_name!r} runs; populate the store with "
-                f"'dragonfly-sim sweep --scenario {pair_name} --store PATH'"
-                + (f" (and --scenario {base_name} for the baseline)" if background else "")
-            )
+    base_runs = (where.baseline() if background else where).runs(store, base_name)
+    pair_runs = where.runs(store, pair_name) if background else base_runs
+    routings = sorted({run.routing for run in pair_runs})
+    if not routings:
+        raise ValueError(
+            f"no stored {pair_name!r} runs; populate the store with "
+            f"'dragonfly-sim sweep --scenario {pair_name} --store PATH'"
+            + (f" (and --scenario {base_name} for the baseline)" if background else "")
+        )
 
     rows = []
     for routing in routings:
         bases = [run for run in base_runs if run.routing == routing]
-        pairs = [run for run in pair_runs if run.routing == routing]
+        interfered_runs = [run for run in pair_runs if run.routing == routing]
         if not bases:
             raise ValueError(
                 f"no stored {base_name!r} baseline under routing {routing!r}; populate "
                 f"the store with 'dragonfly-sim sweep --scenario {base_name} --store PATH'"
             )
-        if background and not pairs:
-            raise ValueError(
-                f"no stored {pair_name!r} co-run under routing {routing!r}; populate "
-                f"the store with 'dragonfly-sim sweep --scenario {pair_name} --store PATH'"
-            )
-        interfered_runs = pairs if background else bases
         ensure_uniform(bases, base_name)
         if background:
             ensure_uniform(interfered_runs, pair_name)

@@ -9,43 +9,40 @@ Two kinds of entry point live here:
   :func:`table2_rows` and (via :mod:`repro.analysis.pairwise` /
   :mod:`repro.analysis.mixed`) the pairwise/mixed comparison rows read a
   populated :class:`~repro.results.ResultStore` and rebuild the paper's
-  tables **without launching a single simulation**.  :func:`build_report`
-  dispatches on a report name and backs the ``dragonfly-sim report``
-  subcommand (see docs/results.md).
+  tables **without launching a single simulation**.  Each reads the runs
+  one :class:`ReportFilter` selects.  :func:`build_report` dispatches on a
+  report name and backs the ``dragonfly-sim report`` subcommand (see
+  docs/results.md).
 
-The legacy helpers :func:`intensity_report` and :func:`interference_report`
-render rows produced by live runs; they share the same column schemas as the
-store-backed builders.
+:func:`intensity_report` renders Table I rows measured by live runs (the
+``dragonfly-sim table1`` command) in the store-backed Table I schema.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.results import ResultStore
-
-from repro.metrics.interference import InterferenceSummary
+    from repro.results.store import StoredResult
 
 __all__ = [
     "OUTPUT_FORMATS",
+    "ReportFilter",
     "build_report",
     "format_csv",
     "format_markdown",
     "format_table",
     "intensity_report",
-    "interference_report",
     "loadcurve_rows",
-    "ml_rows",
     "render_rows",
     "report_names",
     "synthetic_rows",
-    "synthetic_standalone_rows",
     "table1_rows",
     "table2_rows",
-    "trace_rows",
 ]
 
 #: Column schemas of the store-backed reports.
@@ -169,33 +166,81 @@ def _format_cell(value: object) -> str:
 
 
 # ------------------------------------------------- store-backed report builders
-def table1_rows(
-    store: "ResultStore",
-    routing: Optional[str] = None,
-    seed: Optional[int] = None,
-    scale: Optional[float] = None,
-    placement: Optional[str] = None,
-    start_time: Optional[float] = None,
-    knobs: Optional[Dict[str, Dict[str, object]]] = None,
-    fidelity: Optional[str] = None,
-) -> List[dict]:
+@dataclass(frozen=True)
+class ReportFilter:
+    """Which stored runs a report reads (``None`` = any value of that axis).
+
+    ``routing``, ``placement`` and the job names of ``knobs`` are
+    canonicalized at construction (``"UGALG"`` -> ``"ugal-g"``,
+    ``"Random"`` -> ``"random"``, ``"HOTSPOT"`` -> ``"hotspot"``), because
+    stored runs carry canonical names; an unknown value raises
+    ``ValueError`` naming the field.  ``start_time`` keeps one arrival
+    stagger, ``knobs`` (``{job: {kwarg: value}}``) one cell of a
+    ``job_knobs`` sweep and ``fidelity`` one simulation fidelity — see
+    :meth:`repro.results.ResultStore.runs`, whose filters these are.
+    """
+
+    routing: Optional[str] = None
+    seed: Optional[int] = None
+    scale: Optional[float] = None
+    placement: Optional[str] = None
+    start_time: Optional[float] = None
+    knobs: Optional[Dict[str, Dict[str, object]]] = None
+    fidelity: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        from repro.placement import resolve_placement
+        from repro.routing import resolve_algorithm
+        from repro.workloads import resolve_application
+
+        # The resolvers' own errors name the routing algorithm / placement
+        # policy; a bad knob job name says it came from the knobs filter.
+        if self.routing is not None:
+            object.__setattr__(self, "routing", resolve_algorithm(self.routing))
+        if self.placement is not None:
+            object.__setattr__(self, "placement", resolve_placement(self.placement))
+        if self.knobs is not None:
+            try:
+                knobs = {resolve_application(job): dict(kw) for job, kw in self.knobs.items()}
+            except ValueError as exc:
+                raise ValueError(f"knobs filter: {exc}") from None
+            object.__setattr__(self, "knobs", knobs)
+
+    def query(self) -> Dict[str, Any]:
+        """The keyword arguments of :meth:`ResultStore.runs` this filter stands for."""
+        return {field.name: getattr(self, field.name) for field in fields(self)}
+
+    def runs(self, store: "ResultStore", family: str) -> List["StoredResult"]:
+        """Stored runs of ``family`` (exact name or grid expansion) that match."""
+        return store.runs_named(family, **self.query())
+
+    def baseline(self) -> "ReportFilter":
+        """This filter for a comparison's baseline: the simultaneous-arrival,
+        knob-free standalone run (a standalone job delayed into an empty
+        network is the same experiment shifted in time)."""
+        return replace(self, start_time=0.0, knobs=None)
+
+
+def _intensity(runs: Sequence["StoredResult"], job: str) -> Dict[str, float]:
+    """Table I's four intensity metrics of ``job``, averaged over ``runs``."""
+    from repro.results.store import mean_metric
+
+    return {metric: mean_metric(runs, metric, job) for metric in TABLE1_COLUMNS[2:]}
+
+
+def table1_rows(store: "ResultStore", where: ReportFilter = ReportFilter()) -> List[dict]:
     """Table I rows (application communication intensity) from a result store.
 
-    Selects the stored ``table1/<App>`` standalone runs (optionally narrowed
-    by routing/seed/scale/fidelity), aggregates each metric across the
-    matching runs (mean over seeds), and returns one row per application.
-    No simulation is launched.  Raises ``ValueError`` on an unpopulated
-    store.
+    Selects the stored ``table1/<App>`` standalone runs that match
+    ``where``, aggregates each metric across them (mean over seeds), and
+    returns one row per application.  No simulation is launched.  Raises
+    ``ValueError`` on an unpopulated store.
     """
-    from repro.results.store import ensure_uniform, mean_metric
+    from repro.results.store import ensure_uniform
     from repro.workloads import APPLICATIONS
 
     by_app: Dict[str, list] = {}
-    for run in store.runs(
-        name_prefix="table1/", routing=routing, seed=seed, scale=scale,
-        placement=placement, start_time=start_time, knobs=knobs,
-        fidelity=fidelity,
-    ):
+    for run in store.runs(name_prefix="table1/", **where.query()):
         if len(run.jobs) == 1:
             by_app.setdefault(run.jobs[0], []).append(run)
     if not by_app:
@@ -206,46 +251,24 @@ def table1_rows(
         )
     rows = []
     for app in sorted(by_app):
-        runs = by_app[app]
-        ensure_uniform(runs, f"table1/{app}")
-        rows.append(
-            {
-                "pattern": APPLICATIONS[app].pattern,
-                "app": app,
-                "total_msg_bytes": mean_metric(runs, "total_msg_bytes", app),
-                "execution_time_ns": mean_metric(runs, "execution_time_ns", app),
-                "injection_rate_gbps": mean_metric(runs, "injection_rate_gbps", app),
-                "peak_ingress_bytes": mean_metric(runs, "peak_ingress_bytes", app),
-            }
-        )
+        ensure_uniform(by_app[app], f"table1/{app}")
+        pattern = APPLICATIONS[app].pattern
+        rows.append({"pattern": pattern, "app": app, **_intensity(by_app[app], app)})
     return rows
 
 
-def table2_rows(
-    store: "ResultStore",
-    routing: Optional[str] = None,
-    seed: Optional[int] = None,
-    scale: Optional[float] = None,
-    placement: Optional[str] = None,
-    start_time: Optional[float] = None,
-    knobs: Optional[Dict[str, Dict[str, object]]] = None,
-    fidelity: Optional[str] = None,
-) -> List[dict]:
+def table2_rows(store: "ResultStore", where: ReportFilter = ReportFilter()) -> List[dict]:
     """Table II rows (mixed-workload job sizes + measured comm time) from a store.
 
     Job sizes come from the stored ``mixed/table2`` scenario description and
     are compared against the paper's 1,056-node Table II proportions;
     ``comm_time_ns`` is each application's mean communication time in the
-    mix, aggregated across the matching runs.
+    mix, aggregated across the runs that match ``where``.
     """
     from repro.experiments.configs import PAPER_TABLE2_JOB_SIZES
     from repro.results.store import ensure_uniform, mean_metric
 
-    runs = store.runs_named(
-        "mixed/table2", routing=routing, seed=seed, scale=scale,
-        placement=placement, start_time=start_time, knobs=knobs,
-        fidelity=fidelity,
-    )
+    runs = where.runs(store, "mixed/table2")
     if not runs:
         raise ValueError(
             "no mixed/table2 runs in the store; populate it with "
@@ -272,23 +295,16 @@ def table2_rows(
 
 
 def synthetic_rows(
-    store: "ResultStore",
-    target: str,
-    routings: Optional[Sequence[str]] = None,
-    seed: Optional[int] = None,
-    scale: Optional[float] = None,
-    placement: Optional[str] = None,
-    start_time: Optional[float] = None,
-    knobs: Optional[Dict[str, Dict[str, object]]] = None,
-    fidelity: Optional[str] = None,
+    store: "ResultStore", target: str, where: ReportFilter = ReportFilter()
 ) -> List[dict]:
     """Synthetic-background comparison rows for one target — no simulation.
 
     For every synthetic pattern with a stored ``pairwise/<target>+<pattern>``
-    co-run, builds the Fig. 4-style comparison against the stored
-    ``pairwise/<target>`` baseline (one row per pattern × routing).  This is
-    the ``dragonfly-sim report synthetic/<Target>`` table: how much each
-    traffic pattern slows the target down, side by side.
+    co-run matching ``where``, builds the Fig. 4-style comparison against
+    the stored ``pairwise/<target>`` baseline (one row per pattern ×
+    routing).  This is the ``dragonfly-sim report synthetic/<Target>``
+    table: how much each traffic pattern slows the target down, side by
+    side.
     """
     from repro.analysis.pairwise import comparison_rows
     from repro.workloads import SYNTHETIC_PATTERNS, resolve_application
@@ -299,11 +315,7 @@ def synthetic_rows(
     prefix = f"pairwise/{target}+"
     present = {
         run.name[len(prefix):].partition("[")[0]
-        for run in store.runs(
-            name_prefix=prefix,
-            seed=seed, scale=scale, placement=placement, start_time=start_time,
-            knobs=knobs, fidelity=fidelity,
-        )
+        for run in store.runs(name_prefix=prefix, **where.query())
     }
     found = [pattern for pattern in sorted(SYNTHETIC_PATTERNS) if pattern in present]
     if not found:
@@ -313,198 +325,55 @@ def synthetic_rows(
             f"e.g. 'dragonfly-sim run pairwise/{target}+hotspot --store PATH' "
             f"(and 'dragonfly-sim run pairwise/{target} --store PATH' for the baseline)"
         )
-    rows: List[dict] = []
-    for pattern in found:
-        rows.extend(
-            comparison_rows(
-                store, target, pattern,
-                routings=routings, seed=seed, scale=scale, placement=placement,
-                start_time=start_time, knobs=knobs, fidelity=fidelity,
-            )
-        )
+    rows = [row for pattern in found for row in comparison_rows(store, target, pattern, where)]
     rows.sort(key=lambda row: (row["background"], row["routing"]))
     return rows
 
 
-def synthetic_standalone_rows(
+def _intensity_rows(
     store: "ResultStore",
-    pattern: str,
-    routing: Optional[str] = None,
-    seed: Optional[int] = None,
-    scale: Optional[float] = None,
-    placement: Optional[str] = None,
-    start_time: Optional[float] = None,
-    knobs: Optional[Dict[str, Dict[str, object]]] = None,
-    fidelity: Optional[str] = None,
+    family: str,
+    job: str,
+    identity: Dict[str, str],
+    populate: str,
+    where: ReportFilter,
 ) -> List[dict]:
-    """Intensity rows of one standalone synthetic pattern, per routing.
+    """Intensity rows of one standalone ``family``, one per routing.
 
-    Reads the stored ``synthetic/<pattern>`` runs (the registered standalone
-    presets) and renders Table I-style intensity columns — this is what
-    ``dragonfly-sim report synthetic/hotspot`` means when the name after
-    ``synthetic/`` is a pattern rather than a target application.
+    ``job`` names the run's per-app metrics, ``identity`` gives the rows'
+    ``pattern``/``app`` columns and ``populate`` is the command a missing
+    family's error points at.  Backs the ``synthetic/<pattern>``,
+    ``ml/<pattern>`` and ``trace/<name>`` reports.
     """
-    from repro.results.store import ensure_uniform, mean_metric
+    from repro.results.store import ensure_uniform
 
-    runs = store.runs_named(
-        f"synthetic/{pattern}",
-        routing=routing, seed=seed, scale=scale, placement=placement,
-        start_time=start_time, knobs=knobs, fidelity=fidelity,
-    )
+    runs = where.runs(store, family)
     if not runs:
-        raise ValueError(
-            f"no stored synthetic/{pattern} runs; populate the store with "
-            f"'dragonfly-sim run synthetic/{pattern} --store PATH'"
-        )
+        raise ValueError(f"no stored {family} runs; populate the store with '{populate}'")
     rows = []
-    for algo in sorted({run.routing for run in runs}):
-        matched = [run for run in runs if run.routing == algo]
-        ensure_uniform(matched, f"synthetic/{pattern}")
-        rows.append(
-            {
-                "routing": algo,
-                "pattern": pattern,
-                "app": pattern,
-                "total_msg_bytes": mean_metric(matched, "total_msg_bytes", pattern),
-                "execution_time_ns": mean_metric(matched, "execution_time_ns", pattern),
-                "injection_rate_gbps": mean_metric(matched, "injection_rate_gbps", pattern),
-                "peak_ingress_bytes": mean_metric(matched, "peak_ingress_bytes", pattern),
-            }
-        )
-    return rows
-
-
-def ml_rows(
-    store: "ResultStore",
-    pattern: str,
-    routing: Optional[str] = None,
-    seed: Optional[int] = None,
-    scale: Optional[float] = None,
-    placement: Optional[str] = None,
-    start_time: Optional[float] = None,
-    knobs: Optional[Dict[str, Dict[str, object]]] = None,
-    fidelity: Optional[str] = None,
-) -> List[dict]:
-    """Intensity rows of one standalone ML-collective pattern, per routing.
-
-    Reads the stored ``ml/<pattern>`` runs (the registered standalone
-    presets — see :func:`repro.experiments.scenario.ml_scenario`) and renders
-    Table I-style intensity columns, one row per routing algorithm.  This is
-    ``dragonfly-sim report ml/ring_allreduce``; interference of an ML pattern
-    against a target goes through the usual pairwise machinery
-    (``report pairwise/<Target>+ml.<pattern>``).
-    """
-    from repro.results.store import ensure_uniform, mean_metric
-    from repro.workloads import ML_COLLECTIVES, resolve_application
-
-    app = resolve_application(pattern if pattern.startswith("ml.") else f"ml.{pattern}")
-    if app not in ML_COLLECTIVES:
-        raise ValueError(
-            f"{pattern!r} is not an ML-collective pattern; ml reports cover "
-            f"{sorted(ML_COLLECTIVES)}"
-        )
-    short = app.split(".", 1)[1]
-    runs = store.runs_named(
-        f"ml/{short}",
-        routing=routing, seed=seed, scale=scale, placement=placement,
-        start_time=start_time, knobs=knobs, fidelity=fidelity,
-    )
-    if not runs:
-        raise ValueError(
-            f"no stored ml/{short} runs; populate the store with "
-            f"'dragonfly-sim run ml/{short} --store PATH'"
-        )
-    rows = []
-    for algo in sorted({run.routing for run in runs}):
-        matched = [run for run in runs if run.routing == algo]
-        ensure_uniform(matched, f"ml/{short}")
-        rows.append(
-            {
-                "routing": algo,
-                "pattern": ML_COLLECTIVES[app].pattern,
-                "app": app,
-                "total_msg_bytes": mean_metric(matched, "total_msg_bytes", app),
-                "execution_time_ns": mean_metric(matched, "execution_time_ns", app),
-                "injection_rate_gbps": mean_metric(matched, "injection_rate_gbps", app),
-                "peak_ingress_bytes": mean_metric(matched, "peak_ingress_bytes", app),
-            }
-        )
-    return rows
-
-
-def trace_rows(
-    store: "ResultStore",
-    name: str,
-    routing: Optional[str] = None,
-    seed: Optional[int] = None,
-    scale: Optional[float] = None,
-    placement: Optional[str] = None,
-    start_time: Optional[float] = None,
-    knobs: Optional[Dict[str, Dict[str, object]]] = None,
-    fidelity: Optional[str] = None,
-) -> List[dict]:
-    """Intensity rows of stored trace-replay runs, per routing.
-
-    Reads the runs stored under ``trace/<name>`` (the default scenario name
-    :func:`repro.traces.replay_scenario` gives a replay of app ``<name>``)
-    and renders Table I-style intensity columns per routing algorithm.  The
-    replayed job is always named ``trace`` in the run's per-app metrics.
-    Backs ``dragonfly-sim report trace/<name>``.
-    """
-    from repro.results.store import ensure_uniform, mean_metric
-
-    runs = store.runs_named(
-        f"trace/{name}",
-        routing=routing, seed=seed, scale=scale, placement=placement,
-        start_time=start_time, knobs=knobs, fidelity=fidelity,
-    )
-    if not runs:
-        raise ValueError(
-            f"no stored trace/{name} runs; populate the store with "
-            f"'dragonfly-sim trace replay PATH.trace.jsonl --store PATH'"
-        )
-    rows = []
-    for algo in sorted({run.routing for run in runs}):
-        matched = [run for run in runs if run.routing == algo]
-        ensure_uniform(matched, f"trace/{name}")
-        rows.append(
-            {
-                "routing": algo,
-                "pattern": "trace-replay",
-                "app": name,
-                "total_msg_bytes": mean_metric(matched, "total_msg_bytes", "trace"),
-                "execution_time_ns": mean_metric(matched, "execution_time_ns", "trace"),
-                "injection_rate_gbps": mean_metric(matched, "injection_rate_gbps", "trace"),
-                "peak_ingress_bytes": mean_metric(matched, "peak_ingress_bytes", "trace"),
-            }
-        )
+    for routing in sorted({run.routing for run in runs}):
+        matched = [run for run in runs if run.routing == routing]
+        ensure_uniform(matched, family)
+        rows.append({"routing": routing, **identity, **_intensity(matched, job)})
     return rows
 
 
 def loadcurve_rows(
-    store: "ResultStore",
-    pattern: str,
-    routings: Optional[Sequence[str]] = None,
-    seed: Optional[int] = None,
-    scale: Optional[float] = None,
-    placement: Optional[str] = None,
-    start_time: Optional[float] = None,
-    knobs: Optional[Dict[str, Dict[str, object]]] = None,
-    offered_load: Optional[float] = None,
-    fidelity: Optional[str] = None,
+    store: "ResultStore", pattern: str, where: ReportFilter = ReportFilter()
 ) -> List[dict]:
     """Latency-vs-offered-load curve rows for one pattern — no simulation.
 
     Reads the stored ``loadcurve/<pattern>`` steady-state runs (see
-    :func:`repro.experiments.scenario.loadcurve_scenario`), groups them by
-    routing algorithm × offered load × measurement window × arrival config,
-    aggregates each group across seeds, and returns one row per group sorted
-    so each routing algorithm's rows trace its latency-throughput curve.
-    Every reported metric is a measurement-window metric: warmup is excluded
-    by construction.  A store holding several window configs of one pattern
-    yields one row per config, told apart by the ``window_ns`` column
-    (``warmup+measurement``); ``start_time`` narrows to one arrival stagger
-    like the other reports.
+    :func:`repro.experiments.scenario.loadcurve_scenario`) that match
+    ``where``, groups them by routing algorithm × offered load ×
+    measurement window × arrival config, aggregates each group across
+    seeds, and returns one row per group sorted so each routing algorithm's
+    rows trace its latency-throughput curve.  Every reported metric is a
+    measurement-window metric: warmup is excluded by construction.  A store
+    holding several window configs of one pattern yields one row per
+    config, told apart by the ``window_ns`` column
+    (``warmup+measurement``); ``where.start_time`` narrows to one arrival
+    stagger like the other reports.
     """
     from repro.results.store import ensure_uniform, mean_metric
     from repro.workloads import SYNTHETIC_PATTERNS, resolve_application
@@ -515,13 +384,7 @@ def loadcurve_rows(
             f"{pattern!r} is not a synthetic pattern; loadcurve reports cover "
             f"{sorted(SYNTHETIC_PATTERNS)}"
         )
-    runs = store.runs_named(
-        f"loadcurve/{pattern}",
-        seed=seed, scale=scale, placement=placement, start_time=start_time,
-        knobs=knobs, offered_load=offered_load, fidelity=fidelity,
-    )
-    if routings is not None:
-        runs = [run for run in runs if run.routing in routings]
+    runs = where.runs(store, f"loadcurve/{pattern}")
     if not runs:
         raise ValueError(
             f"no stored loadcurve/{pattern} runs; populate the store with e.g. "
@@ -584,141 +447,92 @@ def report_names() -> List[str]:
     ]
 
 
-def build_report(
-    store: "ResultStore",
-    name: str,
-    fmt: str = "table",
-    routing: Optional[str] = None,
-    seed: Optional[int] = None,
-    scale: Optional[float] = None,
-    placement: Optional[str] = None,
-    start_time: Optional[float] = None,
-    knobs: Optional[Dict[str, Dict[str, object]]] = None,
-    fidelity: Optional[str] = None,
-) -> str:
+def build_report(store: "ResultStore", name: str, fmt: str = "table", **filters: Any) -> str:
     """Build a named report from a result store, rendered in ``fmt``.
 
     ``name`` is ``table1``, ``table2``, ``mixed`` (the Fig. 10 interference
     rows), ``pairwise/<Target>+<Background>`` (``pairwise/<Target>`` for
     the standalone baseline row), ``synthetic/<Target>`` (the target
-    against every stored synthetic background), ``loadcurve/<pattern>``
-    (the steady-state latency-vs-offered-load curve, one row per routing ×
-    load), ``ml/<pattern>`` (standalone ML-collective intensity per routing)
-    or ``trace/<name>`` (stored trace-replay intensity per routing).
-    ``routing``/``seed``/``scale``/``placement``/``fidelity`` narrow the
-    stored runs considered; metrics are aggregated (mean) across whatever
-    still matches.  ``fidelity`` disambiguates stores holding packet- and
-    flow-level runs of one scenario (see docs/fidelity.md): the two are
-    different approximations and are never averaged together.  Backs
-    ``dragonfly-sim report``.
+    against every stored synthetic background), ``synthetic/<pattern>``
+    (that pattern's standalone intensity per routing),
+    ``loadcurve/<pattern>`` (the steady-state latency-vs-offered-load
+    curve, one row per routing × load), ``ml/<pattern>`` (standalone
+    ML-collective intensity per routing) or ``trace/<name>`` (stored
+    trace-replay intensity per routing).  ``filters`` are the fields of
+    :class:`ReportFilter` and narrow the stored runs considered; metrics
+    are aggregated (mean) across whatever still matches.  ``fidelity``
+    disambiguates stores holding packet- and flow-level runs of one
+    scenario (see docs/fidelity.md): the two are different approximations
+    and are never averaged together.  Backs ``dragonfly-sim report``.
     """
-    if routing is not None:
-        # Stored runs carry canonical algorithm names; accept the same
-        # aliases the sweep that populated them accepted ("ugalg" etc.).
-        from repro.routing import resolve_algorithm
+    from repro.workloads import ML_COLLECTIVES, SYNTHETIC_PATTERNS, resolve_application
 
-        routing = resolve_algorithm(routing)
-    routings = [routing] if routing is not None else None
+    where = ReportFilter(**filters)
+    kind, _, arg = name.partition("/")
+    # Every parameterized report needs its name; a pairwise one its target.
+    if kind in ("pairwise", "synthetic", "loadcurve", "ml", "trace") and (
+        not arg or (kind == "pairwise" and arg.startswith("+"))
+    ):
+        usage = [n for n in report_names() if n.startswith(kind + "/")]
+        raise ValueError(f"{kind} report needs a name: {' or '.join(usage)}")
+    intensity_columns = ["routing"] + TABLE1_COLUMNS
     if name == "table1":
         title = "Table I — application communication intensity"
-        rows = table1_rows(
-            store, routing=routing, seed=seed, scale=scale, placement=placement,
-            start_time=start_time, knobs=knobs, fidelity=fidelity,
-        )
-        columns = TABLE1_COLUMNS
+        rows, columns = table1_rows(store, where), TABLE1_COLUMNS
     elif name in ("table2", "mixed/table2"):
         title = "Table II — mixed workload job sizes and communication time"
-        rows = table2_rows(
-            store, routing=routing, seed=seed, scale=scale, placement=placement,
-            start_time=start_time, knobs=knobs, fidelity=fidelity,
-        )
-        columns = TABLE2_COLUMNS
+        rows, columns = table2_rows(store, where), TABLE2_COLUMNS
     elif name == "mixed":
         from repro.analysis.mixed import mixed_rows_from_store
 
         title = "Mixed workload — per-application interference (Fig. 10)"
-        rows = mixed_rows_from_store(
-            store, routings=routings, seed=seed, scale=scale, placement=placement,
-            start_time=start_time, knobs=knobs, fidelity=fidelity,
-        )
-        columns = MIXED_COLUMNS
-    elif name.startswith("pairwise/"):
+        rows, columns = mixed_rows_from_store(store, where), MIXED_COLUMNS
+    elif kind == "pairwise":
         from repro.analysis.pairwise import comparison_rows
 
-        pair = name[len("pairwise/"):]
-        target, _, background = pair.partition("+")
-        if not target:
-            raise ValueError("pairwise report needs a target: pairwise/<Target>+<Background>")
-        title = f"Pairwise interference — {pair} (Fig. 4)"
-        rows = comparison_rows(
-            store, target, background or None,
-            routings=routings, seed=seed, scale=scale, placement=placement,
-            start_time=start_time, knobs=knobs, fidelity=fidelity,
-        )
+        target, _, background = arg.partition("+")
+        title = f"Pairwise interference — {arg} (Fig. 4)"
+        rows = comparison_rows(store, target, background or None, where)
         columns = PAIRWISE_COLUMNS
-    elif name.startswith("loadcurve/"):
-        pattern = name[len("loadcurve/"):]
-        if not pattern:
-            raise ValueError("loadcurve report needs a pattern: loadcurve/<pattern>")
-        title = f"Steady-state latency vs offered load — {pattern}"
-        rows = loadcurve_rows(
-            store, pattern, routings=routings, seed=seed, scale=scale,
-            placement=placement, start_time=start_time, knobs=knobs,
-            fidelity=fidelity,
-        )
-        columns = LOADCURVE_COLUMNS
-    elif name.startswith("ml/"):
-        pattern = name[len("ml/"):]
-        if not pattern:
-            raise ValueError("ml report needs a pattern: ml/<pattern>")
-        title = f"ML-collective intensity — {pattern} (standalone)"
-        rows = ml_rows(
-            store, pattern, routing=routing, seed=seed, scale=scale,
-            placement=placement, start_time=start_time, knobs=knobs,
-            fidelity=fidelity,
-        )
-        columns = ["routing"] + TABLE1_COLUMNS
-    elif name.startswith("trace/"):
-        replay = name[len("trace/"):]
-        if not replay:
-            raise ValueError("trace report needs a name: trace/<name>")
-        title = f"Trace replay intensity — {replay}"
-        rows = trace_rows(
-            store, replay, routing=routing, seed=seed, scale=scale,
-            placement=placement, start_time=start_time, knobs=knobs,
-            fidelity=fidelity,
-        )
-        columns = ["routing"] + TABLE1_COLUMNS
-    elif name.startswith("synthetic/"):
-        from repro.workloads import SYNTHETIC_PATTERNS, resolve_application
-
-        target = name[len("synthetic/"):]
-        if not target:
+    elif kind == "loadcurve":
+        title = f"Steady-state latency vs offered load — {arg}"
+        rows, columns = loadcurve_rows(store, arg, where), LOADCURVE_COLUMNS
+    elif kind == "ml":
+        app = resolve_application(arg if arg.startswith("ml.") else f"ml.{arg}")
+        if app not in ML_COLLECTIVES:
             raise ValueError(
-                "synthetic report needs a name: synthetic/<Target> (interference "
-                "against every stored pattern) or synthetic/<pattern> (that "
-                "pattern's standalone intensity)"
+                f"{arg!r} is not an ML-collective pattern; ml reports cover "
+                f"{sorted(ML_COLLECTIVES)}"
             )
+        short = app.split(".", 1)[1]
+        title = f"ML-collective intensity — {arg} (standalone)"
+        rows = _intensity_rows(
+            store, f"ml/{short}", app, {"pattern": ML_COLLECTIVES[app].pattern, "app": app},
+            f"dragonfly-sim run ml/{short} --store PATH", where,
+        )
+        columns = intensity_columns
+    elif kind == "trace":
+        title = f"Trace replay intensity — {arg}"
+        # The replayed job is always named "trace" in the run's metrics.
+        rows = _intensity_rows(
+            store, f"trace/{arg}", "trace", {"pattern": "trace-replay", "app": arg},
+            "dragonfly-sim trace replay PATH.trace.jsonl --store PATH", where,
+        )
+        columns = intensity_columns
+    elif kind == "synthetic" and resolve_application(arg) in SYNTHETIC_PATTERNS:
         # `synthetic/<pattern>` is also a scenario family ("run" stores its
         # standalone runs under that name), so a pattern name here reports
         # those runs rather than treating the pattern as a co-run target.
-        if resolve_application(target) in SYNTHETIC_PATTERNS:
-            pattern = resolve_application(target)
-            title = f"Synthetic pattern intensity — {pattern} (standalone)"
-            rows = synthetic_standalone_rows(
-                store, pattern, routing=routing, seed=seed, scale=scale,
-                placement=placement, start_time=start_time, knobs=knobs,
-                fidelity=fidelity,
-            )
-            columns = ["routing"] + TABLE1_COLUMNS
-        else:
-            title = f"Synthetic-background interference — {target}"
-            rows = synthetic_rows(
-                store, target, routings=routings, seed=seed, scale=scale,
-                placement=placement, start_time=start_time, knobs=knobs,
-                fidelity=fidelity,
-            )
-            columns = PAIRWISE_COLUMNS
+        pattern = resolve_application(arg)
+        title = f"Synthetic pattern intensity — {pattern} (standalone)"
+        rows = _intensity_rows(
+            store, f"synthetic/{pattern}", pattern, {"pattern": pattern, "app": pattern},
+            f"dragonfly-sim run synthetic/{pattern} --store PATH", where,
+        )
+        columns = intensity_columns
+    elif kind == "synthetic":
+        title = f"Synthetic-background interference — {arg}"
+        rows, columns = synthetic_rows(store, arg, where), PAIRWISE_COLUMNS
     else:
         raise ValueError(f"unknown report {name!r}; choose from {report_names()}")
 
@@ -730,30 +544,9 @@ def build_report(
     return f"{title}\n{body}"
 
 
-# ------------------------------------------------------------- legacy reports
 def intensity_report(rows: Iterable[dict]) -> str:
-    """Render the Table I rows (application communication intensity)."""
+    """Render Table I rows measured by live runs (the ``dragonfly-sim table1`` form)."""
     ordered = sorted(rows, key=lambda r: r.get("app", ""))
     return "Table I — application communication intensity\n" + format_table(
         ordered, TABLE1_COLUMNS
     )
-
-
-def interference_report(
-    summaries: Dict[str, InterferenceSummary], title: str = "Interference summary"
-) -> str:
-    """Render per-routing interference summaries (Figs 4, 8, 10 style rows)."""
-    rows = []
-    for routing, summary in summaries.items():
-        row = {"routing": routing}
-        row.update(summary.as_dict())
-        rows.append(row)
-    columns = [
-        "routing",
-        "app",
-        "standalone_comm_ns",
-        "interfered_comm_ns",
-        "slowdown",
-        "variation",
-    ]
-    return f"{title}\n" + format_table(rows, columns)

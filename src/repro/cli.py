@@ -306,8 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--start-time", type=float, default=None, metavar="NS",
-        help="for pairwise/synthetic reports: only consider co-runs whose "
-             "staggered arrival time equals NS (0 = simultaneous arrivals)",
+        help="only consider runs whose latest job arrival equals NS (0 = "
+             "simultaneous arrivals); comparison baselines stay the "
+             "simultaneous standalone runs",
     )
     report.add_argument(
         "--fidelity", default=None, choices=["packet", "flow"],
@@ -738,9 +739,6 @@ def _parse_knobs(specs: Optional[List[str]]) -> Optional[dict]:
         key, eq, raw = assignment.partition("=")
         if not sep or not eq or not job or not key:
             raise ValueError(f"--knob expects JOB:KEY=VALUE, got {spec!r}")
-        from repro.workloads import resolve_application
-
-        job = resolve_application(job)  # stored job names are canonical
         value: object
         try:
             value = int(raw)
@@ -754,8 +752,21 @@ def _parse_knobs(specs: Optional[List[str]]) -> Optional[dict]:
 
 
 def _run_report(args: argparse.Namespace) -> int:
-    from repro.analysis.reports import build_report
+    from repro.analysis.reports import ReportFilter, build_report
 
+    try:
+        where = ReportFilter(
+            routing=args.routing,
+            seed=getattr(args, "seed", None),
+            scale=getattr(args, "scale", None),
+            placement=args.placement,
+            start_time=args.start_time,
+            knobs=_parse_knobs(args.knob),
+            fidelity=args.fidelity,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     path = Path(args.store)
     if not path.is_file():
         print(
@@ -767,18 +778,7 @@ def _run_report(args: argparse.Namespace) -> int:
         return 2
     try:
         with ResultStore(path) as store:
-            text = build_report(
-                store,
-                args.name,
-                fmt=args.fmt,
-                routing=args.routing,
-                seed=getattr(args, "seed", None),
-                scale=getattr(args, "scale", None),
-                placement=args.placement,
-                start_time=args.start_time,
-                knobs=_parse_knobs(args.knob),
-                fidelity=args.fidelity,
-            )
+            text = build_report(store, args.name, fmt=args.fmt, **where.query())
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

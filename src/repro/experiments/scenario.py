@@ -53,7 +53,7 @@ from repro.experiments.configs import (
     synthetic_spec,
 )
 from repro.experiments.configs import AppSpec
-from repro.placement import PLACEMENTS
+from repro.placement import resolve_placement
 from repro.workloads import resolve_application
 
 __all__ = [
@@ -215,12 +215,7 @@ class Scenario:
         object.__setattr__(self, "jobs", jobs)
         if not isinstance(self.placement, str):
             raise TypeError("placement must be a policy name; pass Placement instances to run_workloads")
-        placement = self.placement.strip().lower()
-        if placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement policy {self.placement!r}; choose from {list(PLACEMENTS)}"
-            )
-        object.__setattr__(self, "placement", placement)
+        object.__setattr__(self, "placement", resolve_placement(self.placement))
 
     # ------------------------------------------------------------ serialization
     def to_dict(self) -> dict:

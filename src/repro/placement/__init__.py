@@ -19,6 +19,7 @@ __all__ = [
     "Placement",
     "RandomPlacement",
     "create_placement",
+    "resolve_placement",
 ]
 
 _POLICIES = {
@@ -30,9 +31,18 @@ _POLICIES = {
 PLACEMENTS = tuple(sorted(_POLICIES))
 
 
-def create_placement(name: str, **kwargs: Any) -> Placement:
-    """Instantiate a placement policy by name (``"random"`` or ``"contiguous"``)."""
+def resolve_placement(name: str) -> str:
+    """Canonical placement policy name for ``name`` (case-insensitive).
+
+    Raises ``ValueError`` for unknown names, like
+    :func:`repro.routing.resolve_algorithm` does for routing algorithms.
+    """
     key = name.strip().lower()
     if key not in _POLICIES:
-        raise ValueError(f"unknown placement policy {name!r}; choose from {sorted(_POLICIES)}")
-    return _POLICIES[key](**kwargs)
+        raise ValueError(f"unknown placement policy {name!r}; choose from {list(PLACEMENTS)}")
+    return key
+
+
+def create_placement(name: str, **kwargs: Any) -> Placement:
+    """Instantiate a placement policy by name (``"random"`` or ``"contiguous"``)."""
+    return _POLICIES[resolve_placement(name)](**kwargs)

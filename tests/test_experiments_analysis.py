@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis.mixed import mixed_study
 from repro.analysis.pairwise import pairwise_study
-from repro.analysis.reports import format_table, intensity_report, interference_report
+from repro.analysis.reports import format_table, intensity_report
 from repro.cli import build_parser, main
 from repro.config import SimulationConfig, tiny_system
 from repro.experiments.configs import (
@@ -195,8 +195,6 @@ def test_mixed_study_summaries_and_reports():
     assert np.isfinite(result.mean_interference())
     assert result.system_latency().count > 0
     assert result.mean_system_throughput() >= 0
-    report = interference_report({"par": result.app_summary("FFT3D")})
-    assert "FFT3D" in report
 
 
 def test_format_table_renders_rows():

@@ -7,7 +7,14 @@ import pytest
 
 from repro.analysis.mixed import mixed_rows_from_store
 from repro.analysis.pairwise import comparison_rows
-from repro.analysis.reports import build_report, format_csv, format_markdown, render_rows
+from repro.analysis.reports import (
+    ReportFilter,
+    build_report,
+    format_csv,
+    format_markdown,
+    render_rows,
+    table1_rows,
+)
 from repro.cli import main
 from repro.config import SimulationConfig, tiny_system
 from repro.experiments.configs import AppSpec
@@ -348,7 +355,7 @@ def test_pairwise_comparison_rows_aggregate_across_seeds():
 def test_pairwise_comparison_rows_missing_run_raises():
     store = ResultStore()
     with pytest.raises(ValueError, match="no stored"):
-        comparison_rows(store, "FFT3D", "Halo3D", routings=["par"])
+        comparison_rows(store, "FFT3D", "Halo3D", ReportFilter(routing="par"))
 
 
 def test_mixed_rows_from_store():
@@ -447,7 +454,9 @@ def test_comparison_rows_refuse_to_blend_pattern_knob_variants():
     with pytest.raises(ValueError, match="kwargs"):
         comparison_rows(store, "UR", "hotspot")
     # The knobs filter singles out one cell of the sweep...
-    (row,) = comparison_rows(store, "UR", "hotspot", knobs={"hotspot": {"hot_fraction": 0.9}})
+    (row,) = comparison_rows(
+        store, "UR", "hotspot", ReportFilter(knobs={"hotspot": {"hot_fraction": 0.9}})
+    )
     assert row["interfered_comm_ns"] == 500.0
     # ...and aggregate keeps the two knob settings in separate groups.
     rows = store.aggregate("comm_time_ns", name_prefix="pairwise/UR+hotspot")
@@ -527,7 +536,7 @@ def test_comparison_rows_ignore_staggered_baseline_variants():
     store.record(pair, {"comm_time_ns/UR": 150.0, "comm_time_std_ns/UR": 10.0})
     (row,) = comparison_rows(store, "UR", "hotspot")
     assert row["slowdown"] == pytest.approx(1.5)
-    (staggered_baseline,) = comparison_rows(store, "UR", None, start_time=20_000.0)
+    (staggered_baseline,) = comparison_rows(store, "UR", None, ReportFilter(start_time=20_000.0))
     assert staggered_baseline["background"] == "None"
 
 
@@ -579,3 +588,83 @@ def test_cli_report_output_file(tmp_path, capsys):
     target = tmp_path / "t1.md"
     assert main(["report", "table1", "--store", str(path), "--format", "markdown", "-o", str(target)]) == 0
     assert target.read_text().startswith("### Table I")
+
+
+# -------------------------------------------------------------- ReportFilter
+def test_report_filter_canonicalizes_and_names_bad_fields():
+    where = ReportFilter(
+        routing="UGALG", placement=" Random ", knobs={"HOTSPOT": {"hot_fraction": 0.9}}
+    )
+    assert where.routing == "ugal-g"
+    assert where.placement == "random"
+    assert where.knobs == {"hotspot": {"hot_fraction": 0.9}}
+    # A comparison's baseline is the simultaneous-arrival, knob-free run.
+    staggered = ReportFilter(routing="par", seed=2, start_time=5.0, knobs={"UR": {"scale": 1}})
+    assert staggered.baseline() == ReportFilter(routing="par", seed=2, start_time=0.0)
+    with pytest.raises(ValueError, match="routing algorithm 'bogus'"):
+        ReportFilter(routing="bogus")
+    with pytest.raises(ValueError, match="placement policy 'bogus'"):
+        ReportFilter(placement="bogus")
+    with pytest.raises(ValueError, match="knobs filter: unknown application 'bogus'"):
+        ReportFilter(knobs={"bogus": {"x": 1}})
+
+
+def test_row_builders_accept_routing_aliases():
+    """Every builder reads canonical routing names, not only build_report."""
+    store = ResultStore()
+    store.record(
+        table1_scenario("UR", routing="ugal-g"),
+        {
+            "total_msg_bytes/UR": 1000,
+            "execution_time_ns/UR": 2000.0,
+            "injection_rate_gbps/UR": 0.5,
+            "peak_ingress_bytes/UR": 400,
+        },
+    )
+    (row,) = table1_rows(store, ReportFilter(routing="UGALG"))
+    assert row["app"] == "UR" and row["injection_rate_gbps"] == 0.5
+
+
+def test_row_builders_canonicalize_knob_job_names():
+    """A knob filter spelled with any job-name case selects the stored cell."""
+    tiny = SimulationConfig(system=tiny_system())
+    store = ResultStore()
+    baseline = pairwise_scenario("UR", None, target_ranks=4, config=tiny)
+    store.record(baseline, {"comm_time_ns/UR": 100.0, "comm_time_std_ns/UR": 10.0})
+    pair = pairwise_scenario("UR", "hotspot", target_ranks=4, background_ranks=4, config=tiny)
+    for index, fraction in enumerate([0.1, 0.9]):
+        store.record(
+            pair.with_updates(
+                name=f"pairwise/UR+hotspot[v{index}]",
+                job_kwargs={"hotspot": {"hot_fraction": fraction}},
+            ),
+            {"comm_time_ns/UR": 110.0 + 390.0 * index, "comm_time_std_ns/UR": 10.0},
+        )
+    where = ReportFilter(knobs={"HotSpot": {"hot_fraction": 0.9}})
+    (row,) = comparison_rows(store, "UR", "hotspot", where)
+    assert row["interfered_comm_ns"] == 500.0
+
+
+def test_cli_report_placement_filter_is_case_insensitive(tmp_path, capsys):
+    path = tmp_path / "r.sqlite"
+    with ResultStore(path) as store:
+        store.record(
+            table1_scenario("UR"),
+            {
+                "total_msg_bytes/UR": 1,
+                "execution_time_ns/UR": 1.0,
+                "injection_rate_gbps/UR": 1.0,
+                "peak_ingress_bytes/UR": 1,
+            },
+        )
+    assert main(["report", "table1", "--store", str(path), "--placement", "Random"]) == 0
+    assert "UR" in capsys.readouterr().out
+
+
+def test_cli_report_rejects_unknown_placement_by_name(tmp_path, capsys):
+    path = tmp_path / "r.sqlite"
+    with ResultStore(path) as store:
+        store.record(table1_scenario("UR"), {"total_msg_bytes/UR": 1})
+    assert main(["report", "table1", "--store", str(path), "--placement", "bogus"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown placement policy 'bogus'" in err and "no table1" not in err

@@ -11,7 +11,7 @@ zero re-simulation.
 
 import pytest
 
-from repro.analysis.reports import build_report, loadcurve_rows
+from repro.analysis.reports import ReportFilter, build_report, loadcurve_rows
 from repro.config import SimulationConfig, tiny_system
 from repro.experiments.configs import AppSpec
 from repro.experiments.scenario import (
@@ -315,4 +315,4 @@ def test_loadcurve_report_separates_window_configs(tmp_path):
         assert {row["window_ns"] for row in rows} == {"2000+10000", "2000+5000"}
         # The start_time filter is accepted (and, for these simultaneous
         # runs, a no-op) — the remedy ensure_uniform's message points at.
-        assert len(loadcurve_rows(store, "shift", start_time=0.0)) == 2
+        assert len(loadcurve_rows(store, "shift", ReportFilter(start_time=0.0))) == 2
