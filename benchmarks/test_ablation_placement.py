@@ -9,19 +9,18 @@ complete, reporting the interference each placement produces.
 from conftest import BENCH_SCALE, BENCH_SEED
 
 from repro.analysis.reports import format_table
-from repro.experiments.configs import bench_config, pairwise_specs
-from repro.experiments.runner import run_workloads
+from repro.experiments.scenario import pairwise_scenario
 from repro.metrics.interference import interference_summary
 
 
 def _run(placement: str) -> dict:
-    config = bench_config("par", seed=BENCH_SEED)
-    specs_alone = pairwise_specs("FFT3D", None, scale=BENCH_SCALE, target_ranks=24)
-    specs_pair = pairwise_specs(
-        "FFT3D", "Halo3D", scale=BENCH_SCALE, target_ranks=24, background_ranks=24
+    alone, pair = (
+        pairwise_scenario(
+            "FFT3D", background, routing="par", seed=BENCH_SEED, scale=BENCH_SCALE,
+            target_ranks=24, background_ranks=24,
+        ).with_updates(placement=placement).run()
+        for background in (None, "Halo3D")
     )
-    alone = run_workloads(config, specs_alone, placement=placement)
-    pair = run_workloads(config, specs_pair, placement=placement)
     summary = interference_summary(alone.record("FFT3D"), pair.record("FFT3D"))
     groups_used = {
         pair.network.topology.group_of_node(node) for node in pair.placements["FFT3D"]

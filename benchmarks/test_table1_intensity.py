@@ -10,7 +10,7 @@ store re-renders the table without launching a single simulation.
 
 from conftest import BENCH_SCALE, BENCH_SEED, bench_store, ensure_stored, standalone_scenario
 
-from repro.analysis.reports import ReportFilter, intensity_report, table1_rows
+from repro.analysis.reports import ReportFilter, format_table, table1_rows
 from repro.experiments.configs import BENCH_RANKS
 
 
@@ -26,7 +26,7 @@ def _build_table():
 
 def test_table1_intensity(benchmark):
     rows = benchmark.pedantic(_build_table, rounds=1, iterations=1)
-    print("\n" + intensity_report(rows))
+    print("\nTable I — application communication intensity\n" + format_table(rows))
 
     assert {row["app"] for row in rows} == set(BENCH_RANKS)
     rates = {row["app"]: row["injection_rate_gbps"] for row in rows}

@@ -14,7 +14,7 @@ import os
 
 from repro.analysis.mixed import mixed_study
 from repro.analysis.reports import format_table
-from repro.experiments.configs import bench_config, mixed_workload_specs
+from repro.experiments.scenario import mixed_scenario
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
 SCALE = 0.15 if SMOKE else 0.3
@@ -25,8 +25,7 @@ def main() -> None:
     app_rows = []
     system_rows = []
     for routing in COMPARED:
-        config = bench_config(routing=routing, seed=5)
-        result = mixed_study(config, mixed_workload_specs(total_nodes=70, scale=SCALE))
+        result = mixed_study(mixed_scenario(routing=routing, seed=5, total_nodes=70, scale=SCALE))
         for summary in result.all_summaries():
             app_rows.append(
                 {

@@ -11,7 +11,7 @@ Run with:  python examples/quickstart.py
 import os
 
 from repro.experiments.configs import AppSpec, bench_config
-from repro.experiments.runner import run_standalone
+from repro.experiments.scenario import Scenario
 from repro.metrics.intensity import injection_rate_gbps
 from repro.metrics.latency import latency_summary
 
@@ -25,8 +25,8 @@ def main() -> None:
     # 2. Describe the job: FFT3D on 24 nodes with benchmark-scale messages.
     spec = AppSpec("FFT3D", 24, {"scale": 0.2 if SMOKE else 0.5})
 
-    # 3. Run it to completion (random placement, as in the paper).
-    result = run_standalone(config, spec)
+    # 3. Run it to completion as one scenario (random placement, as in the paper).
+    result = Scenario("quickstart/FFT3D", (spec,), config).run()
 
     # 4. Application-level metrics.
     record = result.record("FFT3D")

@@ -1,10 +1,10 @@
 """Interference analysis: the pairwise and mixed-workload studies + reports.
 
-:mod:`repro.analysis.pairwise` and :mod:`repro.analysis.mixed` orchestrate
-the experiment runner and the metrics package into the two studies of the
-paper's evaluation (Sections V and VI); both also offer store-backed row
-builders (:func:`~repro.analysis.pairwise.comparison_rows`,
-:func:`~repro.analysis.mixed.mixed_rows_from_store`) that rebuild the same
+:mod:`repro.analysis.pairwise` and :mod:`repro.analysis.mixed` run the
+scenarios of the two studies of the paper's evaluation (Sections V and VI)
+and also offer store-backed row builders
+(:func:`~repro.analysis.pairwise.comparison_rows`,
+:func:`~repro.analysis.mixed.mixed_rows_from_store`) that build the
 comparison rows from a :class:`~repro.results.ResultStore` without
 simulating.  :mod:`repro.analysis.reports` renders rows as plain-text, CSV
 or Markdown tables and hosts the named report builders behind
@@ -20,7 +20,6 @@ from repro.analysis.reports import (
     format_csv,
     format_markdown,
     format_table,
-    intensity_report,
     render_rows,
     table1_rows,
     table2_rows,
@@ -35,7 +34,6 @@ __all__ = [
     "format_csv",
     "format_markdown",
     "format_table",
-    "intensity_report",
     "mixed_rows_from_store",
     "mixed_study",
     "pairwise_study",

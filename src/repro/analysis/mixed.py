@@ -9,8 +9,9 @@ and aggregate throughput (Fig. 13).
 
 Two paths produce the Fig. 10 interference rows:
 
-* :func:`mixed_study` simulates the mix plus its baselines and returns a
-  :class:`MixedResult` (full access to stats, stall maps, latencies);
+* :func:`mixed_study` runs the mix scenario plus its per-job baselines and
+  returns a :class:`MixedResult` (full access to stats, stall maps,
+  latencies);
 * :func:`mixed_rows_from_store` reads previously recorded ``mixed/table2``
   and ``mixed/solo/<App>`` runs (see
   :func:`repro.experiments.scenario.mixed_solo_scenarios`) back out of a
@@ -31,9 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
 import numpy as np
 
 from repro.analysis.reports import ReportFilter
-from repro.config import SimulationConfig
-from repro.experiments.configs import AppSpec, mixed_workload_specs
-from repro.experiments.runner import RunResult, run_workloads
+from repro.experiments.runner import RunResult
+from repro.experiments.scenario import Scenario, mixed_scenario
 from repro.metrics.congestion import congestion_index_matrix, stall_time_by_group
 from repro.metrics.interference import InterferenceSummary, interference_summary
 from repro.metrics.latency import LatencySummary, latency_summary
@@ -89,19 +89,26 @@ class MixedResult:
 
 
 def mixed_study(
-    config: SimulationConfig,
-    specs: Optional[Sequence[AppSpec]] = None,
-    standalone: Optional[Dict[str, RunResult]] = None,
+    scenario: Optional[Scenario] = None, solos: Optional[Sequence[Scenario]] = None
 ) -> MixedResult:
-    """Run the mixed workload and (optionally reuse) standalone baselines."""
-    specs = list(specs) if specs is not None else mixed_workload_specs()
-    mixed_result = run_workloads(config, specs)
-    baselines: Dict[str, RunResult] = dict(standalone or {})
-    for spec in specs:
-        if spec.name not in baselines:
-            baselines[spec.name] = run_workloads(config, [spec])
+    """Run a mixed workload and one standalone baseline per job.
+
+    ``scenario`` defaults to the ``mixed/table2`` preset.  ``solos`` default
+    to one ``mixed/solo/<App>`` scenario per job: the job alone at its mixed
+    size, under the mix's config and placement (what
+    :func:`~repro.experiments.scenario.mixed_solo_scenarios` builds for the
+    preset).
+    """
+    scenario = scenario if scenario is not None else mixed_scenario()
+    if solos is None:
+        solos = [
+            Scenario(MIXED_SOLO_PREFIX + spec.name, (spec,), scenario.config, scenario.placement)
+            for spec in scenario.jobs
+        ]
     return MixedResult(
-        routing=config.routing.algorithm, mixed=mixed_result, standalone=baselines
+        routing=scenario.config.routing.algorithm,
+        mixed=scenario.run(),
+        standalone={solo.jobs[0].name: solo.run() for solo in solos},
     )
 
 

@@ -6,13 +6,13 @@ communication behaviour against its standalone baseline: communication time
 and its variation (Fig. 4), application throughput over time (Figs 5, 9) and
 packet-latency distributions (Figs 6, 7).
 
-Two paths produce the Fig. 4 comparison rows:
-
-* :func:`pairwise_study` simulates both runs and returns a
+* :func:`pairwise_study` runs the ``pairwise/<T>`` baseline and the
+  ``pairwise/<T>+<B>`` co-run scenarios and returns a
   :class:`PairwiseResult` (full access to stats, time series, latencies);
-* :func:`comparison_rows` reads previously recorded ``pairwise/<T>`` /
-  ``pairwise/<T>+<B>`` runs back out of a
-  :class:`~repro.results.ResultStore` — same row schema, zero simulation.
+* :func:`comparison_rows` builds the Fig. 4 comparison rows from recorded
+  runs of those scenarios in a :class:`~repro.results.ResultStore`, with
+  zero simulation.  It is the only Fig. 4 row builder: the ``pairwise``
+  command records its runs into an in-memory store and reports from it.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
 
 from repro.analysis.reports import ReportFilter
 from repro.config import SimulationConfig
-from repro.experiments.configs import pairwise_specs
-from repro.experiments.runner import RunResult, run_workloads
+from repro.experiments.runner import RunResult
+from repro.experiments.scenario import Scenario, pairwise_scenario
 from repro.metrics.interference import InterferenceSummary, interference_summary
 from repro.metrics.latency import LatencySummary, latency_summary
 from repro.workloads import resolve_application
@@ -67,16 +67,6 @@ class PairwiseResult:
         job = result.jobs[app]
         return result.stats.app_throughput_series(job.job_id)
 
-    def as_dict(self) -> dict:
-        """Plain-dict summary row (used by the Fig. 4 benchmark)."""
-        summary = self.target_summary
-        return {
-            "routing": self.routing,
-            "target": self.target,
-            "background": self.background or "None",
-            **summary.as_dict(),
-        }
-
 
 def pairwise_study(
     config: SimulationConfig,
@@ -89,35 +79,26 @@ def pairwise_study(
 ) -> PairwiseResult:
     """Run the standalone baseline and the co-run for one pair.
 
+    Both runs are :func:`~repro.experiments.scenario.pairwise_scenario`
+    presets under ``config`` (``pairwise/<T>`` and ``pairwise/<T>+<B>``).
     ``standalone_result`` may be passed to reuse a previously computed
     baseline (the paper keeps the target's placement fixed across runs; the
     same effect is obtained here by using the same seed/config for both runs).
     ``target_ranks``/``background_ranks`` override the default half-system
     job sizes, e.g. for smaller test systems.
     """
-    if standalone_result is None:
-        standalone_result = run_workloads(
-            config,
-            pairwise_specs(target, None, scale=scale, target_ranks=target_ranks),
+    def scenario(with_background: Optional[str]) -> Scenario:
+        return pairwise_scenario(
+            target, with_background, scale=scale, target_ranks=target_ranks,
+            background_ranks=background_ranks, config=config,
         )
-    interfered_result: Optional[RunResult] = None
-    if background is not None:
-        interfered_result = run_workloads(
-            config,
-            pairwise_specs(
-                target,
-                background,
-                scale=scale,
-                target_ranks=target_ranks,
-                background_ranks=background_ranks,
-            ),
-        )
+
     return PairwiseResult(
         routing=config.routing.algorithm,
         target=target,
         background=background,
-        standalone=standalone_result,
-        interfered=interfered_result,
+        standalone=standalone_result if standalone_result is not None else scenario(None).run(),
+        interfered=scenario(background).run() if background is not None else None,
     )
 
 
@@ -131,13 +112,14 @@ def comparison_rows(
 
     Looks up the recorded ``pairwise/<target>+<background>`` co-runs that
     match ``where`` and their ``pairwise/<target>`` standalone baseline,
-    aggregates each metric across the matching seeds, and returns one row
-    per routing algorithm present in the :meth:`PairwiseResult.as_dict`
-    schema.  The baseline is read through :meth:`ReportFilter.baseline`:
-    ``where.start_time`` and ``where.knobs`` narrow the *co-run* family to
-    one arrival stagger or one cell of a ``job_knobs`` sweep (e.g.
-    ``{"hotspot": {"hot_fraction": 0.9}}``), while the comparison's
-    baseline is always the simultaneous-arrival standalone run.  With
+    aggregates each metric across the matching seeds, and returns one
+    :data:`~repro.analysis.reports.PAIRWISE_COLUMNS` row per routing
+    algorithm present.  The baseline is read through
+    :meth:`ReportFilter.baseline`: ``where.start_time`` and ``where.knobs``
+    narrow the *co-run* family to one arrival stagger or one cell of a
+    ``job_knobs`` sweep (e.g. ``{"hotspot": {"hot_fraction": 0.9}}``), while
+    the comparison's baseline is always the simultaneous-arrival standalone
+    run.  With
     ``background=None`` — a pure baseline report — ``where`` selects among
     the standalone runs themselves.  Raises ``ValueError`` when a required
     run is missing (populate the store with ``dragonfly-sim sweep

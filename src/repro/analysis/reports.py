@@ -12,10 +12,8 @@ Two kinds of entry point live here:
   tables **without launching a single simulation**.  Each reads the runs
   one :class:`ReportFilter` selects.  :func:`build_report` dispatches on a
   report name and backs the ``dragonfly-sim report`` subcommand (see
-  docs/results.md).
-
-:func:`intensity_report` renders Table I rows measured by live runs (the
-``dragonfly-sim table1`` command) in the store-backed Table I schema.
+  docs/results.md).  The ``table1`` and ``pairwise`` study commands record
+  their runs into an in-memory store and print these same reports.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.results import ResultStore
@@ -36,7 +34,6 @@ __all__ = [
     "format_csv",
     "format_markdown",
     "format_table",
-    "intensity_report",
     "loadcurve_rows",
     "render_rows",
     "report_names",
@@ -542,11 +539,3 @@ def build_report(store: "ResultStore", name: str, fmt: str = "table", **filters:
     if fmt == "markdown":
         return f"### {title}\n\n{body}"
     return f"{title}\n{body}"
-
-
-def intensity_report(rows: Iterable[dict]) -> str:
-    """Render Table I rows measured by live runs (the ``dragonfly-sim table1`` form)."""
-    ordered = sorted(rows, key=lambda r: r.get("app", ""))
-    return "Table I — application communication intensity\n" + format_table(
-        ordered, TABLE1_COLUMNS
-    )

@@ -3,8 +3,8 @@
 Eight subcommands cover the study's workflows:
 
 * ``table1``    — run every application standalone and print the Table I rows;
-* ``pairwise``  — co-run a target and a background application under one or
-  more routing algorithms and print the interference summary (Fig. 4 rows);
+* ``pairwise``  — run a target alone and co-run with a background application
+  under one or more routing algorithms and print the Fig. 4 rows;
 * ``mixed``     — run the Table II mixed workload and print per-application
   interference plus the system-wide congestion metrics (Figs 10-13);
 * ``sweep``     — fan a scenario grid (standalone, pairwise or mixed) across
@@ -23,9 +23,11 @@ Eight subcommands cover the study's workflows:
   simulation** (see docs/results.md);
 * ``scenarios`` — list the scenario library, or describe one as JSON.
 
-``--seed``/``--scale`` are accepted both before and after the subcommand,
-and every study subcommand accepts ``--dump-scenario PATH`` to capture the
-invocation as a reusable scenario JSON file instead of simulating.
+``table1`` and ``pairwise`` record their runs into an in-memory store and
+print the text ``report`` prints for those runs.  ``--seed``/``--scale`` are
+accepted both before and after the subcommand, and every study subcommand
+accepts ``--dump-scenario PATH`` to capture the invocation (baselines
+included) as a reusable scenario JSON file instead of simulating.
 """
 
 from __future__ import annotations
@@ -39,9 +41,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.mixed import mixed_study
-from repro.analysis.pairwise import pairwise_study
-from repro.analysis.reports import OUTPUT_FORMATS, format_table, intensity_report
-from repro.experiments.configs import ROUTINGS, bench_config, table1_specs
+from repro.analysis.reports import OUTPUT_FORMATS, ReportFilter, build_report, format_table
+from repro.experiments.configs import BENCH_RANKS, ROUTINGS
 from repro.experiments.scenario import (
     Scenario,
     dump_scenarios,
@@ -49,11 +50,11 @@ from repro.experiments.scenario import (
     get_scenario,
     load_scenarios,
     mixed_scenario,
+    mixed_solo_scenarios,
     pairwise_scenario,
     scenario_names,
     table1_scenario,
 )
-from repro.metrics.intensity import intensity_table
 from repro.results import DEFAULT_STORE_PATH, ResultStore
 from repro.workloads import APPLICATIONS
 
@@ -351,66 +352,67 @@ def _dump_and_report(path: str, scenarios: List[Scenario]) -> int:
     return 0
 
 
+def _study_report(scenarios: List[Scenario], report: str) -> str:
+    """Run ``scenarios`` into an in-memory store and build ``report`` from it.
+
+    The study commands print exactly what ``dragonfly-sim report`` prints
+    for the same runs recorded into a file store.
+    """
+    with ResultStore() as store:
+        for scenario in scenarios:
+            store.record_run(scenario, scenario.run())
+        return build_report(store, report)
+
+
 def _run_table1(args: argparse.Namespace) -> int:
     scenarios = [
-        table1_scenario(spec.name, routing=args.routing, seed=_seed(args), scale=_scale(args))
-        for spec in table1_specs()
+        table1_scenario(app, routing=args.routing, seed=_seed(args), scale=_scale(args))
+        for app in BENCH_RANKS
     ]
     dump = _dump_path(args)
     if dump:
         return _dump_and_report(dump, scenarios)
-    applications = {}
-    records = {}
-    for scenario in scenarios:
-        result = scenario.run()
-        (name,) = [spec.name for spec in scenario.jobs]
-        applications[name] = result.application(name)
-        records[name] = result.record(name)
-    rows = intensity_table(applications.values(), records)
-    print(intensity_report(rows))
+    print(_study_report(scenarios, "table1"))
     return 0
 
 
 def _run_pairwise(args: argparse.Namespace) -> int:
+    # Per routing: the pairwise/<T> baseline, then the co-run.
+    scenarios = [
+        pairwise_scenario(
+            args.target, background, routing=routing, seed=_seed(args), scale=_scale(args)
+        )
+        for routing in args.routings
+        for background in (None, args.background)
+    ]
     dump = _dump_path(args)
     if dump:
-        scenarios = [
-            pairwise_scenario(
-                args.target, args.background,
-                routing=routing, seed=_seed(args), scale=_scale(args),
-            )
-            for routing in args.routings
-        ]
         return _dump_and_report(dump, scenarios)
-    rows = []
-    for routing in args.routings:
-        config = bench_config(routing, seed=_seed(args))
-        result = pairwise_study(config, args.target, args.background, scale=_scale(args))
-        rows.append(result.as_dict())
-    print(
-        format_table(
-            rows,
-            ["routing", "target", "background", "standalone_comm_ns", "interfered_comm_ns", "slowdown", "variation"],
-        )
-    )
+    print(_study_report(scenarios, f"pairwise/{args.target}+{args.background}"))
     return 0
 
 
 def _run_mixed(args: argparse.Namespace) -> int:
+    # Per routing: the mixed/table2 run, then its mixed/solo/<App> baselines.
+    studies = [
+        (
+            mixed_scenario(routing=routing, seed=_seed(args), scale=_scale(args)),
+            mixed_solo_scenarios(routing=routing, seed=_seed(args), scale=_scale(args)),
+        )
+        for routing in args.routings
+    ]
     dump = _dump_path(args)
     if dump:
-        scenarios = [
-            mixed_scenario(routing=routing, seed=_seed(args)) for routing in args.routings
-        ]
-        return _dump_and_report(dump, scenarios)
+        return _dump_and_report(
+            dump, [scenario for mix, solos in studies for scenario in (mix, *solos)]
+        )
     rows = []
-    for routing in args.routings:
-        config = bench_config(routing, seed=_seed(args))
-        result = mixed_study(config)
+    for mix, solos in studies:
+        result = mixed_study(mix, solos)
         latency = result.system_latency()
         rows.append(
             {
-                "routing": routing,
+                "routing": result.routing,
                 "mean_interference": result.mean_interference(),
                 "mean_latency_ns": latency.mean,
                 "p99_latency_ns": latency.p99,
@@ -440,7 +442,6 @@ def _workload_grid(
     from repro.config import SimulationConfig, paper_system, small_system, tiny_system
     from repro.experiments.configs import (
         BENCH_LINK_BANDWIDTH_GBPS,
-        BENCH_RANKS,
         ML_RANKS,
         bench_spec,
         ml_spec,
@@ -752,8 +753,6 @@ def _parse_knobs(specs: Optional[List[str]]) -> Optional[dict]:
 
 
 def _run_report(args: argparse.Namespace) -> int:
-    from repro.analysis.reports import ReportFilter, build_report
-
     try:
         where = ReportFilter(
             routing=args.routing,

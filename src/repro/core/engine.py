@@ -150,29 +150,6 @@ class Simulator:
         return EventHandle(entry)
 
     # -------------------------------------------------------------- execution
-    # reprolint: hot
-    def step(self) -> bool:
-        """Fire the next pending event.
-
-        Returns ``True`` if an event fired, ``False`` if the calendar was
-        empty (cancelled events are skipped transparently).
-        """
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            callback = entry[_CALLBACK]
-            if callback is None:
-                continue
-            self._now = entry[_TIME]
-            self._idled_from = None
-            if self.trace:
-                name = getattr(callback, "__qualname__", repr(callback))
-                self.trace_log.append((entry[_TIME], entry[_KIND], name))
-            callback(*entry[_ARGS])
-            self._fired += 1
-            return True
-        return False
-
     def run(
         self,
         until: Optional[float] = None,

@@ -6,8 +6,9 @@ description per experiment, with a registry of named presets and grid
 expansion;
 :mod:`repro.experiments.configs` defines the paper-scale and benchmark-scale
 system/application configurations (including the Table II mixed workload);
-:mod:`repro.experiments.runner` builds a full simulator stack from an
-application list and runs it to completion;
+:mod:`repro.experiments.runner` is the execution core behind
+``Scenario.run()``: it builds a full simulator stack and runs it to
+completion;
 :mod:`repro.experiments.sweep` fans scenario grids across worker processes,
 cached through the persistent result store (:mod:`repro.results` — see
 docs/results.md).
@@ -24,9 +25,8 @@ from repro.experiments.configs import (
     mixed_workload_specs,
     pairwise_specs,
     synthetic_spec,
-    table1_specs,
 )
-from repro.experiments.runner import RunResult, run_standalone, run_workloads
+from repro.experiments.runner import RunResult
 from repro.experiments.scenario import (
     Scenario,
     dump_scenarios,
@@ -63,12 +63,9 @@ __all__ = [
     "pairwise_scenario",
     "pairwise_specs",
     "register_scenario",
-    "run_standalone",
-    "run_workloads",
     "scenario_hash",
     "scenario_names",
     "synthetic_scenario",
     "synthetic_spec",
     "table1_scenario",
-    "table1_specs",
 ]

@@ -37,7 +37,6 @@ __all__ = [
     "ml_spec",
     "pairwise_specs",
     "synthetic_spec",
-    "table1_specs",
 ]
 
 #: The four routing algorithms compared throughout the paper's evaluation.
@@ -299,11 +298,6 @@ def ml_spec(
         )
     ranks = num_ranks if num_ranks is not None else ML_RANKS[name]
     return AppSpec(name, ranks, kwargs, start_time)
-
-
-def table1_specs(scale: float = 1.0) -> List[AppSpec]:
-    """Standalone specs for every application (Table I regeneration)."""
-    return [bench_spec(name, scale=scale) for name in BENCH_RANKS]
 
 
 def pairwise_specs(

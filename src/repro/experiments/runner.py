@@ -1,9 +1,7 @@
 """Experiment runner: build the full stack from specs and run to completion.
 
-The canonical way to describe a run is a
-:class:`repro.experiments.scenario.Scenario`; its ``run()`` facade calls the
-:func:`_execute` core below, and :func:`run_workloads`/:func:`run_standalone`
-are kept as thin wrappers that build an ad-hoc scenario from their arguments.
+Every run is described by a :class:`repro.experiments.scenario.Scenario`;
+its ``run()`` method is the only way in to the :func:`_execute` core below.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.config import SimulationConfig
 from repro.core.engine import Simulator
@@ -21,7 +19,7 @@ from repro.experiments.configs import AppSpec
 from repro.flow import DEFAULT_FIDELITY, active_fidelity_name
 from repro.mpi.engine import MpiEngine, MpiJob
 from repro.network.network import DragonflyNetwork
-from repro.placement import Placement, create_placement
+from repro.placement import create_placement
 from repro.placement.allocator import NodeAllocator
 from repro.stats.appstats import ApplicationRecord
 from repro.stats.collector import StatsCollector
@@ -30,7 +28,7 @@ from repro.workloads import Application, create_application, resolve_application
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.traces.recorder import TraceRecorder
 
-__all__ = ["RunResult", "run_standalone", "run_workloads"]
+__all__ = ["RunResult"]
 
 
 @dataclass
@@ -134,28 +132,20 @@ def _gc_paused() -> Iterator[None]:
 def _execute(
     config: SimulationConfig,
     specs: Sequence[AppSpec],
-    placement: Union[str, Placement],
+    placement: str,
     require_completion: bool = True,
     recorder: Optional["TraceRecorder"] = None,
 ) -> RunResult:
     """Build the simulator stack and run it (core behind ``Scenario.run``).
 
-    ``placement`` may be a policy name or an already-constructed
-    :class:`~repro.placement.Placement` instance.  ``recorder`` optionally
-    attaches a :class:`~repro.traces.recorder.TraceRecorder` to the engine
-    before any program runs (pure observation — the simulation is identical
-    with or without it).
+    ``specs`` and the ``placement`` policy name come from a
+    :class:`~repro.experiments.scenario.Scenario`, which has already
+    validated them (non-empty, distinct canonical job names, a known
+    policy).  ``recorder`` optionally attaches a
+    :class:`~repro.traces.recorder.TraceRecorder` to the engine before any
+    program runs (pure observation — the simulation is identical with or
+    without it).
     """
-    if not specs:
-        raise ValueError("at least one application spec is required")
-    # AppSpec canonicalizes its application name at construction, so jobs are
-    # keyed identically whether this run was entered through a Scenario or
-    # the Placement-instance path.
-    specs = list(specs)
-    names = [spec.name for spec in specs]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate job names in {names}; give co-runs distinct names")
-
     started = time.perf_counter()
     fidelity = active_fidelity_name(config)
     sim = Simulator()
@@ -170,7 +160,7 @@ def _execute(
     engine = MpiEngine(network)
     engine.recorder = recorder
     allocator = NodeAllocator(network.num_nodes)
-    policy = placement if isinstance(placement, Placement) else create_placement(placement)
+    policy = create_placement(placement)
     placement_rng = network.rng.get("placement")
 
     applications: Dict[str, Application] = {}
@@ -225,47 +215,3 @@ def _execute(
         completed=completed,
         fidelity=fidelity,
     )
-
-
-def run_workloads(
-    config: SimulationConfig,
-    specs: Sequence[AppSpec],
-    placement: Union[str, Placement] = "random",
-    require_completion: bool = True,
-) -> RunResult:
-    """Run the applications described by ``specs`` on one Dragonfly system.
-
-    This is a thin wrapper over :meth:`repro.experiments.scenario.Scenario.run`:
-    the arguments are packed into an ad-hoc scenario and executed.  Prefer
-    building a :class:`~repro.experiments.scenario.Scenario` directly when
-    the experiment should be named, serialized, or swept.
-
-    Parameters
-    ----------
-    config:
-        Simulation configuration (system shape, routing algorithm, seed…).
-    specs:
-        One :class:`AppSpec` per co-running job.
-    placement:
-        Placement policy name (``"random"`` — the paper's default — or
-        ``"contiguous"``), or a :class:`~repro.placement.Placement` instance.
-    require_completion:
-        When true (default) a run that stops before every rank finished
-        (because of ``max_time_ns``/``max_events``) raises ``RuntimeError``;
-        otherwise the partial result is returned with ``completed=False``.
-    """
-    if isinstance(placement, Placement):
-        # Placement instances cannot be named/serialized, so they bypass the
-        # Scenario wrapper and go straight to the execution core.
-        return _execute(config, list(specs), placement, require_completion)
-    from repro.experiments.scenario import Scenario
-
-    scenario = Scenario(name="adhoc", jobs=tuple(specs), config=config, placement=placement)
-    return scenario.run(require_completion=require_completion)
-
-
-def run_standalone(
-    config: SimulationConfig, spec: AppSpec, placement: Union[str, Placement] = "random"
-) -> RunResult:
-    """Run a single application alone on the system (interference-free baseline)."""
-    return run_workloads(config, [spec], placement=placement)

@@ -7,9 +7,9 @@ selection (:class:`~repro.config.RoutingConfig`), the experiment-level knobs
 of :class:`~repro.experiments.configs.AppSpec` jobs.  Everything else in the
 experiment layer is defined in terms of it:
 
-* ``Scenario.run()`` is the execution facade —
-  :func:`repro.experiments.runner.run_workloads` and ``run_standalone`` are
-  thin wrappers that build an ad-hoc scenario and run it;
+* ``Scenario.run()`` is the only way to simulate — the study helpers of
+  :mod:`repro.analysis`, the sweep workers and the CLI all build scenarios
+  and run them;
 * :func:`repro.experiments.sweep.run_sweep` fans lists of scenarios across
   worker processes, cached in the :class:`~repro.results.ResultStore` keyed
   by :func:`scenario_hash`;
@@ -214,7 +214,7 @@ class Scenario:
             raise ValueError(f"duplicate job names in {names}; give co-runs distinct names")
         object.__setattr__(self, "jobs", jobs)
         if not isinstance(self.placement, str):
-            raise TypeError("placement must be a policy name; pass Placement instances to run_workloads")
+            raise TypeError(f"placement must be a policy name, got {type(self.placement).__name__}")
         object.__setattr__(self, "placement", resolve_placement(self.placement))
 
     # ------------------------------------------------------------ serialization
@@ -392,8 +392,8 @@ class Scenario:
         """Build the full simulator stack for this scenario and run it.
 
         Returns a :class:`repro.experiments.runner.RunResult`.  This is the
-        execution facade every other entry point (``run_workloads``,
-        ``run_standalone``, the sweep workers, the CLI) goes through.
+        only way to simulate: the study helpers, the sweep workers and the
+        CLI all go through it.
         ``recorder`` optionally attaches a
         :class:`~repro.traces.recorder.TraceRecorder` (see
         :func:`repro.traces.record_scenario` for the convenience wrapper).
@@ -401,7 +401,7 @@ class Scenario:
         from repro.experiments.runner import _execute
 
         return _execute(
-            self.config, list(self.jobs), self.placement, require_completion, recorder=recorder
+            self.config, self.jobs, self.placement, require_completion, recorder=recorder
         )
 
 
@@ -531,8 +531,8 @@ def pairwise_scenario(
 ) -> Scenario:
     """Pairwise co-run scenario (``background=None`` -> standalone baseline).
 
-    Uses the same specs as :func:`repro.analysis.pairwise.pairwise_study`'s
-    interfered run, so sweeping this scenario reproduces the study's co-run
+    :func:`repro.analysis.pairwise.pairwise_study` runs this scenario (with
+    and without the background), so sweeping it reproduces the study's
     metrics bit-for-bit.  ``config`` overrides the default
     :func:`~repro.experiments.configs.bench_config` (e.g. for tiny test
     systems).

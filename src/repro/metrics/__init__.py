@@ -1,7 +1,8 @@
 """Quantitative metrics of the interference study.
 
-* :mod:`repro.metrics.intensity` — the two communication-intensity metrics
-  of Section IV (message injection rate, peak ingress volume → Table I);
+* :mod:`repro.metrics.intensity` — the measured message injection rate of
+  Section IV (Table I; the peak ingress volume is analytic,
+  ``Application.peak_ingress_bytes``);
 * :mod:`repro.metrics.interference` — application-level interference metrics
   (communication-time delta and variation → Figs 4, 8, 10);
 * :mod:`repro.metrics.latency` — packet-latency distribution summaries
@@ -10,7 +11,7 @@
   congestion index (Figs 11, 12).
 """
 
-from repro.metrics.intensity import injection_rate_gbps, intensity_table, peak_ingress_volume
+from repro.metrics.intensity import injection_rate_gbps
 from repro.metrics.interference import InterferenceSummary, interference_summary
 from repro.metrics.latency import LatencySummary, latency_summary
 from repro.metrics.congestion import congestion_index_matrix, stall_time_by_group
@@ -20,9 +21,7 @@ __all__ = [
     "LatencySummary",
     "congestion_index_matrix",
     "injection_rate_gbps",
-    "intensity_table",
     "interference_summary",
     "latency_summary",
-    "peak_ingress_volume",
     "stall_time_by_group",
 ]

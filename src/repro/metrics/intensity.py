@@ -9,19 +9,17 @@ Two metrics formally characterize an application's communication intensity:
   network in one burst (e.g. all stencil neighbours at once), i.e. the peak
   short-term bandwidth demand.
 
-Both can be measured from a standalone run (via :class:`ApplicationRecord`)
-or derived analytically from the application definition; this module offers
-both paths so Table I can be regenerated and cross-checked.
+The injection rate is measured from a standalone run's
+:class:`ApplicationRecord`; the peak ingress volume is analytic
+(``Application.peak_ingress_bytes``).  Table I itself is built from stored
+runs by :func:`repro.analysis.reports.table1_rows`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
-
 from repro.stats.appstats import ApplicationRecord
-from repro.workloads.base import Application
 
-__all__ = ["injection_rate_gbps", "peak_ingress_volume", "intensity_table"]
+__all__ = ["injection_rate_gbps"]
 
 
 def injection_rate_gbps(record: ApplicationRecord) -> float:
@@ -34,39 +32,3 @@ def injection_rate_gbps(record: ApplicationRecord) -> float:
     if execution <= 0:
         return 0.0
     return record.total_bytes_sent / execution
-
-
-def peak_ingress_volume(application: Application) -> int:
-    """Analytic peak ingress volume (bytes) of ``application``."""
-    return application.peak_ingress_bytes()
-
-
-def intensity_table(
-    applications: Iterable[Application],
-    records: Optional[Dict[str, ApplicationRecord]] = None,
-) -> list[dict]:
-    """Build the Table I rows for ``applications``.
-
-    ``records`` maps application name to the :class:`ApplicationRecord` of a
-    standalone run; when provided, measured volume, execution time and
-    injection rate are included alongside the analytic peak ingress volume.
-    """
-    rows = []
-    for application in applications:
-        row = {
-            "pattern": application.pattern,
-            "app": application.name,
-            "peak_ingress_bytes": application.peak_ingress_bytes(),
-            "analytic_volume_bytes": application.total_message_volume(),
-        }
-        record = (records or {}).get(application.name)
-        if record is not None:
-            row.update(
-                {
-                    "total_msg_bytes": record.total_bytes_sent,
-                    "execution_time_ns": record.execution_time,
-                    "injection_rate_gbps": injection_rate_gbps(record),
-                }
-            )
-        rows.append(row)
-    return rows

@@ -242,15 +242,18 @@ def test_every_event_exactly_at_until_fires():
 
 
 def test_step_and_run_share_one_calendar_order():
+    """Stepping one event at a time (``run(max_events=1)``, the bounded loop)
+    and the batched loop fire the calendar in one ``(time, seq)`` order."""
     sim = Simulator()
     fired = []
     for label, delay in enumerate([3.0, 1.0, 1.0, 2.0]):
         sim.schedule(delay, fired.append, label)
-    assert sim.step() is True
+    sim.run(max_events=1)
     assert fired == [1] and sim.now == 1.0
     sim.run()
     assert fired == [1, 2, 3, 0]
-    assert sim.step() is False
+    sim.run(max_events=1)
+    assert fired == [1, 2, 3, 0]
     assert sim.events_fired == 4
 
 

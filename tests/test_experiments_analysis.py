@@ -5,26 +5,31 @@ import pytest
 
 from repro.analysis.mixed import mixed_study
 from repro.analysis.pairwise import pairwise_study
-from repro.analysis.reports import format_table, intensity_report
+from repro.analysis.reports import format_table
 from repro.cli import build_parser, main
 from repro.config import SimulationConfig, tiny_system
 from repro.experiments.configs import (
     AppSpec,
+    BENCH_RANKS,
     PAPER_TABLE2_JOB_SIZES,
     bench_config,
     bench_spec,
     mixed_workload_specs,
     pairwise_specs,
-    table1_specs,
 )
-from repro.experiments.runner import run_standalone, run_workloads
+from repro.experiments.scenario import Scenario
 from repro.metrics.congestion import congestion_index_matrix, stall_time_by_group
-from repro.metrics.intensity import injection_rate_gbps, intensity_table
 from repro.results import DEFAULT_STORE_PATH
 
 
 def _tiny_config(routing="par", seed=3):
     return SimulationConfig(system=tiny_system(), seed=seed).with_routing(routing)
+
+
+def _run(config, *specs, placement="random", require_completion=True):
+    """Run ``specs`` as one ad-hoc scenario on ``config``."""
+    scenario = Scenario("test/run", specs, config, placement)
+    return scenario.run(require_completion=require_completion)
 
 
 # ------------------------------------------------------------------ configs
@@ -36,7 +41,6 @@ def test_bench_config_and_specs():
     assert spec.name == "FFT3D" and spec.kwargs["scale"] == 0.5
     with pytest.raises(ValueError):
         bench_spec("nope")
-    assert len(table1_specs()) == 9
 
 
 def test_pairwise_specs_structure():
@@ -59,10 +63,9 @@ def test_mixed_workload_specs_respect_node_budget_and_proportions():
 
 
 # ------------------------------------------------------------------- runner
-def test_run_workloads_places_jobs_disjointly_and_completes():
+def test_scenario_run_places_jobs_disjointly_and_completes():
     config = _tiny_config()
-    specs = [AppSpec("UR", 6, {"scale": 0.3}), AppSpec("LU", 6, {"scale": 0.3})]
-    result = run_workloads(config, specs)
+    result = _run(config, AppSpec("UR", 6, {"scale": 0.3}), AppSpec("LU", 6, {"scale": 0.3}))
     assert result.completed
     assert set(result.jobs) == {"UR", "LU"}
     assert not set(result.placements["UR"]) & set(result.placements["LU"])
@@ -70,24 +73,14 @@ def test_run_workloads_places_jobs_disjointly_and_completes():
     assert result.summary()["routing"] == "par"
 
 
-def test_run_workloads_rejects_duplicate_names_and_empty_specs():
-    config = _tiny_config()
-    with pytest.raises(ValueError):
-        run_workloads(config, [])
-    with pytest.raises(ValueError):
-        run_workloads(config, [AppSpec("UR", 4, {}), AppSpec("UR", 4, {})])
-
-
-def test_run_workloads_detects_incomplete_runs():
+def test_scenario_run_detects_incomplete_runs():
     config = _tiny_config()
     limited = SimulationConfig(
         system=config.system, routing=config.routing, seed=config.seed, max_events=50
     )
     with pytest.raises(RuntimeError):
-        run_workloads(limited, [AppSpec("Halo3D", 8, {"scale": 0.3})])
-    partial = run_workloads(
-        limited, [AppSpec("Halo3D", 8, {"scale": 0.3})], require_completion=False
-    )
+        _run(limited, AppSpec("Halo3D", 8, {"scale": 0.3}))
+    partial = _run(limited, AppSpec("Halo3D", 8, {"scale": 0.3}), require_completion=False)
     assert not partial.completed
 
 
@@ -96,7 +89,7 @@ def test_makespan_not_inflated_by_unused_max_time_watchdog():
     watchdog = SimulationConfig(
         system=config.system, routing=config.routing, seed=config.seed, max_time_ns=1e12
     )
-    result = run_workloads(watchdog, [AppSpec("UR", 4, {"scale": 0.2})])
+    result = _run(watchdog, AppSpec("UR", 4, {"scale": 0.2}))
     assert result.completed
     assert result.sim.now == 1e12  # run(until=...) idles the clock to the bound
     assert result.makespan_ns < 1e9  # ...but makespan reports the last event
@@ -112,9 +105,9 @@ def test_completion_time_not_inflated_by_trailing_routing_feedback():
     # the moment its last packet arrives, with credit returns (and, under
     # q-adaptive, feedback signals) still scheduled behind it — the exact
     # regime where last_event_time over-reports completion.
-    specs = [AppSpec("permutation", 6, {"scale": 0.3, "iterations": 3, "compute_ns": 0.0})]
+    spec = AppSpec("permutation", 6, {"scale": 0.3, "iterations": 3, "compute_ns": 0.0})
     for routing in ("minimal", "q-adaptive"):
-        result = run_workloads(_tiny_config(routing), specs)
+        result = _run(_tiny_config(routing), spec)
         assert result.completed
         last_finish = max(result.record("permutation").finish_time.values())
         assert result.makespan_ns == last_finish
@@ -128,8 +121,8 @@ def test_completion_time_not_inflated_by_trailing_routing_feedback():
 def test_run_is_reproducible_for_fixed_seed():
     config = _tiny_config(seed=11)
     spec = AppSpec("FFT3D", 8, {"scale": 0.3})
-    first = run_standalone(config, spec)
-    second = run_standalone(config, spec)
+    first = _run(config, spec)
+    second = _run(config, spec)
     assert first.record("FFT3D").mean_comm_time == pytest.approx(
         second.record("FFT3D").mean_comm_time
     )
@@ -138,25 +131,14 @@ def test_run_is_reproducible_for_fixed_seed():
 
 def test_contiguous_placement_runs():
     config = _tiny_config()
-    result = run_workloads(config, [AppSpec("LU", 9, {"scale": 0.3})], placement="contiguous")
+    result = _run(config, AppSpec("LU", 9, {"scale": 0.3}), placement="contiguous")
     assert result.placements["LU"] == sorted(result.placements["LU"])
 
 
 # ------------------------------------------------------------------ metrics
-def test_intensity_table_rows_contain_measured_metrics():
-    config = _tiny_config()
-    result = run_standalone(config, AppSpec("UR", 8, {"scale": 0.3}))
-    app = result.application("UR")
-    record = result.record("UR")
-    rows = intensity_table([app], {"UR": record})
-    assert rows[0]["app"] == "UR"
-    assert rows[0]["injection_rate_gbps"] == pytest.approx(injection_rate_gbps(record))
-    assert "Table I" in intensity_report(rows)
-
-
 def test_congestion_metrics_from_a_real_run():
     config = _tiny_config()
-    result = run_workloads(config, [AppSpec("Halo3D", 8, {"scale": 0.4})])
+    result = _run(config, AppSpec("Halo3D", 8, {"scale": 0.4}))
     matrix = congestion_index_matrix(result.network)
     groups = result.network.topology.num_groups
     assert matrix.shape == (groups, groups)
@@ -175,7 +157,7 @@ def test_pairwise_study_detects_more_interference_than_baseline():
     summary = result.target_summary
     assert summary.app == "FFT3D"
     assert summary.interfered_comm_ns > 0
-    assert result.as_dict()["background"] == "Halo3D"
+    assert set(result.interfered.jobs) == {"FFT3D", "Halo3D"}
     latency = result.target_latency()
     assert latency.count > 0
     times, rates = result.throughput_series("FFT3D")
@@ -184,12 +166,13 @@ def test_pairwise_study_detects_more_interference_than_baseline():
 
 def test_mixed_study_summaries_and_reports():
     config = _tiny_config()
-    specs = [
+    specs = (
         AppSpec("UR", 6, {"scale": 0.3}),
         AppSpec("LU", 6, {"scale": 0.3}),
         AppSpec("FFT3D", 6, {"scale": 0.3}),
-    ]
-    result = mixed_study(config, specs)
+    )
+    result = mixed_study(Scenario("test/mix", specs, config))
+    assert set(result.standalone) == {"UR", "LU", "FFT3D"}
     summaries = result.all_summaries()
     assert {s.app for s in summaries} == {"UR", "LU", "FFT3D"}
     assert np.isfinite(result.mean_interference())
@@ -222,3 +205,49 @@ def test_cli_parser_subcommands():
     assert args.command == "report" and args.name == "table1" and args.fmt == "csv"
     with pytest.raises(SystemExit):
         parser.parse_args(["pairwise", "FFT3D", "NotAnApp"])
+
+
+def _table_rows(text):
+    """Data rows of a rendered plain-text table, split on whitespace."""
+    lines = text.strip().splitlines()
+    rule = next(i for i, line in enumerate(lines) if set(line) <= {"-", " "})
+    return [line.split() for line in lines[rule + 1:]]
+
+
+def test_cli_table1_simulates_and_prints_the_table1_report(capsys):
+    assert main(["table1", "--scale", "0.02"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("Table I — application communication intensity\n")
+    rows = {row[1]: row for row in _table_rows(out)}
+    assert set(rows) == set(BENCH_RANKS)
+    rates = {app: float(row[4].replace(",", "")) for app, row in rows.items()}
+    # Paper, Table I: Halo3D injects fastest, CosmoFlow slowest.
+    assert max(rates, key=rates.get) == "Halo3D"
+    assert min(rates, key=rates.get) == "CosmoFlow"
+
+
+def test_cli_pairwise_output_equals_report_over_its_dumped_scenarios(tmp_path, capsys):
+    """`pairwise` prints what `report` prints after `run` replays its dump:
+    the dump holds every run the command simulates, baselines included."""
+    argv = ["pairwise", "FFT3D", "Halo3D", "--routings", "par", "q-adaptive", "--scale", "0.03"]
+    dump, store = tmp_path / "pairwise.json", tmp_path / "runs.sqlite"
+    assert main(argv + ["--dump-scenario", str(dump)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(dump), "--store", str(store)]) == 0
+    capsys.readouterr()
+    assert main(["report", "pairwise/FFT3D+Halo3D", "--store", str(store)]) == 0
+    reported = capsys.readouterr().out
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert printed == reported
+    assert [row[0] for row in _table_rows(printed)] == ["par", "q-adaptive"]
+
+
+def test_cli_mixed_simulates_at_the_requested_scale(capsys):
+    assert main(["mixed", "--routings", "PAR", "--scale", "0.02"]) == 0
+    (row,) = _table_rows(capsys.readouterr().out)
+    routing, interference, mean_latency, p99_latency, throughput = row
+    assert routing == "par"  # canonical, as every other study command prints it
+    assert np.isfinite(float(interference))
+    assert 0 < float(mean_latency.replace(",", "")) <= float(p99_latency.replace(",", ""))
+    assert float(throughput) >= 0

@@ -6,8 +6,7 @@ import pytest
 
 from repro.config import SimulationConfig, tiny_system
 from repro.experiments.configs import AppSpec, ML_RANKS, ml_spec
-from repro.experiments.runner import run_workloads
-from repro.experiments.scenario import get_scenario
+from repro.experiments.scenario import Scenario, get_scenario
 from repro.workloads import MoEAllToAll, PipelineP2P, RingAllreduce, create_application
 
 TINY = SimulationConfig(system=tiny_system(), seed=2).with_routing("par")
@@ -82,7 +81,7 @@ def test_pipeline_volume_counts_both_directions():
 @pytest.mark.parametrize("name", sorted(ML_RANKS))
 def test_every_ml_pattern_runs_to_completion(name):
     spec = AppSpec(name, 8, {"scale": 0.25, "iterations": 2})
-    result = run_workloads(TINY, [spec])
+    result = Scenario(f"test/{name}", (spec,), TINY).run()
     record = result.record(name)
     assert result.completed and record.finished
     assert record.total_bytes_sent > 0
@@ -92,7 +91,7 @@ def test_every_ml_pattern_runs_to_completion(name):
 def test_ring_allreduce_sends_its_analytic_volume_exactly():
     """The ring schedule is deterministic, so measured == analytic exactly."""
     spec = AppSpec("ml.ring_allreduce", 8, {"scale": 0.25, "iterations": 2})
-    result = run_workloads(TINY, [spec])
+    result = Scenario("test/ring", (spec,), TINY).run()
     app = result.application("ml.ring_allreduce")
     assert result.record("ml.ring_allreduce").total_bytes_sent == (
         app.message_volume_per_rank() * app.num_ranks

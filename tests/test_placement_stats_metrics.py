@@ -147,12 +147,12 @@ def test_collector_summary_now_ns_reports_last_event_time():
     last *event* (the convention metrics/congestion.py follows), not the
     idled-out clock."""
     from repro.experiments.configs import AppSpec
-    from repro.experiments.runner import run_workloads
+    from repro.experiments.scenario import Scenario
 
     config = SimulationConfig(
         system=tiny_system(), seed=5, max_time_ns=1e12
     ).with_routing("minimal")
-    result = run_workloads(config, [AppSpec("UR", 4, {"scale": 0.2})])
+    result = Scenario("test/ur", (AppSpec("UR", 4, {"scale": 0.2}),), config).run()
     assert result.sim.now == 1e12  # the clock idled out to the watchdog...
     summary = result.stats.summary()
     assert summary["now_ns"] == result.sim.last_event_time  # ...now_ns did not

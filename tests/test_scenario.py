@@ -11,7 +11,6 @@ from repro.backends import active_backend_name
 from repro.cli import build_parser, main
 from repro.config import RoutingConfig, SimulationConfig, tiny_system
 from repro.experiments.configs import AppSpec
-from repro.experiments.runner import run_workloads
 from repro.experiments.scenario import (
     CACHE_VERSION,
     Scenario,
@@ -20,6 +19,7 @@ from repro.experiments.scenario import (
     get_scenario,
     load_scenarios,
     mixed_scenario,
+    mixed_solo_scenarios,
     pairwise_scenario,
     register_scenario,
     scenario_hash,
@@ -116,6 +116,8 @@ def test_scenario_validates_names_against_registries_at_parse_time():
         _tiny_scenario(jobs=(AppSpec("NotAnApp", 4, {}),))
     with pytest.raises(ValueError):
         _tiny_scenario(placement="spread")
+    with pytest.raises(TypeError):  # a policy name, never a Placement instance
+        _tiny_scenario(placement=RandomPlacement())
     with pytest.raises(ValueError):  # routing typo caught by RoutingConfig itself
         _tiny_scenario(config=SimulationConfig(system=tiny_system()).with_routing("ugal-x"))
     with pytest.raises(ValueError):  # duplicate job names
@@ -530,18 +532,17 @@ def test_resolve_application_mirrors_other_registries():
 
 
 def test_run_result_keys_are_canonical_for_both_placement_paths():
-    """Lowercase spec names key canonically whether placement is a name or an
-    instance, and the accessors resolve the caller's original spelling."""
+    """Lowercase spec names key canonically under either placement policy,
+    and the accessors resolve the caller's original spelling."""
     config = SimulationConfig(system=tiny_system(), seed=3).with_routing("par")
     spec = AppSpec("ur", 5, {"scale": 0.2})
-    by_name = run_workloads(config, [spec], placement="random")
-    by_instance = run_workloads(config, [spec], placement=RandomPlacement())
-    assert set(by_name.jobs) == set(by_instance.jobs) == {"UR"}
-    assert set(by_name.placements) == {"UR"}
-    assert by_name.record("ur").mean_comm_time == by_name.record("UR").mean_comm_time
-    assert by_name.application("ur") is by_name.application("UR")
-    with pytest.raises(ValueError):
-        by_name.record("NotAnApp")
+    for placement in ("random", "contiguous"):
+        result = Scenario("test/keys", (spec,), config, placement).run()
+        assert set(result.jobs) == set(result.placements) == {"UR"}
+        assert result.record("ur").mean_comm_time == result.record("UR").mean_comm_time
+        assert result.application("ur") is result.application("UR")
+        with pytest.raises(ValueError):
+            result.record("NotAnApp")
 
 
 def test_with_updates_scale_overrides_every_job():
@@ -551,18 +552,6 @@ def test_with_updates_scale_overrides_every_job():
     assert scenario.jobs[1].kwargs["iterations"] == 4
     # The original scenario is untouched.
     assert all(spec.kwargs["scale"] == 0.3 for spec in _tiny_scenario().jobs)
-
-
-def test_run_workloads_accepts_placement_instance():
-    config = SimulationConfig(system=tiny_system(), seed=3).with_routing("par")
-    by_name = run_workloads(config, [AppSpec("UR", 6, {"scale": 0.3})], placement="random")
-    by_instance = run_workloads(
-        config, [AppSpec("UR", 6, {"scale": 0.3})], placement=RandomPlacement()
-    )
-    assert by_instance.completed
-    # Same policy, same seed stream -> identical placement and metrics.
-    assert by_instance.placements == by_name.placements
-    assert by_instance.record("UR").mean_comm_time == by_name.record("UR").mean_comm_time
 
 
 # ------------------------------------------------------------------------- CLI
@@ -605,10 +594,11 @@ def test_cli_dump_scenario_captures_invocations_without_simulating(tmp_path, cap
          "--seed", "2", "--dump-scenario", str(path)]
     ) == 0
     capsys.readouterr()
+    # Per routing: the pairwise/<T> baseline, then the co-run.
     scenarios = load_scenarios(path)
-    assert [s.config.routing.algorithm for s in scenarios] == ["par", "minimal"]
+    assert [s.config.routing.algorithm for s in scenarios] == ["par", "par", "minimal", "minimal"]
     assert all(s.config.seed == 2 for s in scenarios)
-    assert all([spec.name for spec in s.jobs] == ["FFT3D", "Halo3D"] for s in scenarios)
+    assert [[spec.name for spec in s.jobs] for s in scenarios] == [["FFT3D"], ["FFT3D", "Halo3D"]] * 2
 
     table1 = tmp_path / "table1.json"
     assert main(["table1", "--dump-scenario", str(table1)]) == 0
@@ -618,8 +608,9 @@ def test_cli_dump_scenario_captures_invocations_without_simulating(tmp_path, cap
     mixed = tmp_path / "mixed.json"
     assert main(["mixed", "--routings", "par", "--dump-scenario", str(mixed)]) == 0
     capsys.readouterr()
-    (mixed_sc,) = load_scenarios(mixed)
+    mixed_sc, *solos = load_scenarios(mixed)
     assert mixed_sc == mixed_scenario()
+    assert solos == mixed_solo_scenarios()
 
     swept = tmp_path / "sweep.json"
     assert main(
@@ -627,7 +618,18 @@ def test_cli_dump_scenario_captures_invocations_without_simulating(tmp_path, cap
          "--dump-scenario", str(swept)]
     ) == 0
     capsys.readouterr()
-    assert len(load_scenarios(swept)) == 4  # 2 base scenarios x 2 seeds
+    assert len(load_scenarios(swept)) == 8  # 4 base scenarios x 2 seeds
+
+
+def test_cli_mixed_dump_applies_scale_to_every_job(tmp_path, capsys):
+    path = tmp_path / "mixed.json"
+    assert main(
+        ["mixed", "--routings", "par", "--scale", "0.02", "--dump-scenario", str(path)]
+    ) == 0
+    capsys.readouterr()
+    scenarios = load_scenarios(path)
+    assert scenarios == [mixed_scenario(scale=0.02), *mixed_solo_scenarios(scale=0.02)]
+    assert {spec.kwargs["scale"] for s in scenarios for spec in s.jobs} == {0.02}
 
 
 def test_cli_sweep_scenario_keeps_unswept_axes_and_applies_scale(tmp_path, capsys):

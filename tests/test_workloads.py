@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config import SimulationConfig, tiny_system
 from repro.core.engine import Simulator
 from repro.experiments.configs import AppSpec
-from repro.experiments.runner import run_workloads
+from repro.experiments.scenario import Scenario
 from repro.mpi.engine import MpiEngine
 from repro.network.network import DragonflyNetwork
 from repro.workloads import (
@@ -316,7 +316,7 @@ def test_every_application_runs_to_completion(name):
     """Each application, at tiny scale, must run and send its analytic volume."""
     config = SimulationConfig(system=tiny_system(), seed=2).with_routing("par")
     spec = AppSpec(name, 8, {"scale": 0.2, "seed": 1})
-    result = run_workloads(config, [spec])
+    result = Scenario(f"test/{name}", (spec,), config).run()
     record = result.record(name)
     assert result.completed
     assert record.finished
@@ -330,7 +330,7 @@ def test_every_application_runs_to_completion(name):
 def test_application_volume_close_to_analytic_estimate():
     config = SimulationConfig(system=tiny_system(), seed=2).with_routing("par")
     spec = AppSpec("Halo3D", 8, {"scale": 0.25})
-    result = run_workloads(config, [spec])
+    result = Scenario("test/halo3d", (spec,), config).run()
     app = result.application("Halo3D")
     measured = result.record("Halo3D").total_bytes_sent
     # The analytic estimate assumes interior ranks everywhere, so it is an
