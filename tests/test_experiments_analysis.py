@@ -73,6 +73,14 @@ def test_scenario_run_places_jobs_disjointly_and_completes():
     assert result.summary()["routing"] == "par"
 
 
+def test_run_workloads_rejects_duplicate_names_and_empty_specs():
+    config = _tiny_config()
+    with pytest.raises(ValueError):
+        _run(config)
+    with pytest.raises(ValueError):
+        _run(config, AppSpec("UR", 4, {}), AppSpec("UR", 4, {}))
+
+
 def test_scenario_run_detects_incomplete_runs():
     config = _tiny_config()
     limited = SimulationConfig(
